@@ -11,116 +11,18 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .attributes import (
-    as_attribute_matrix,
-    as_attribute_vector,
-    as_feature_matrix,
-    as_label_vector,
-    binarize,
-    concat_attributes,
-    random_attribute_set,
-)
-from .bench import (
-    HitCost,
-    NoiseCurve,
-    SplitProtocol,
-    hit_cost_analysis,
-    planted_meaningful_set,
-    run_noise_curve,
-    run_split_validation,
-    split_meaningful,
-)
-from .discovery import (
-    LiftClampWarning,
-    LiftConfig,
-    LshModel,
-    MmcHyperparams,
-    MmcModel,
-    PcaModel,
-    ShModel,
-    apply_pca,
-    encode,
-    fit_pca,
-    lift_features,
-    train_lsh,
-    train_mmc,
-    train_sh,
-)
-from .keywords import (
-    HitRateReport,
-    KeywordReport,
-    NamingTable,
-    TruthTable,
-    evaluate_hit_rate,
-    generate_keywords,
-    merge_duplicates,
-    nameable_count,
-)
-from .subspace import (
-    ReconstructionResult,
-    SimplexFit,
-    SolverConfig,
-    brute_force_cvx_oracle,
-    distance_cvx,
-    distance_plain,
-    project_simplex,
-    rank_methods,
-    reconstruct_cvx,
-    reconstruct_ls,
-)
+from . import attributes, bench, discovery, keywords, subspace
+from .attributes import *  # noqa: F401,F403
+from .bench import *  # noqa: F401,F403
+from .discovery import *  # noqa: F401,F403
+from .keywords import *  # noqa: F401,F403
+from .subspace import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    # attributes
-    "as_attribute_matrix",
-    "as_attribute_vector",
-    "as_feature_matrix",
-    "as_label_vector",
-    "binarize",
-    "concat_attributes",
-    "random_attribute_set",
-    # subspace / distances
-    "ReconstructionResult",
-    "SimplexFit",
-    "SolverConfig",
-    "brute_force_cvx_oracle",
-    "distance_cvx",
-    "distance_plain",
-    "project_simplex",
-    "rank_methods",
-    "reconstruct_cvx",
-    "reconstruct_ls",
-    # discovery
-    "LiftClampWarning",
-    "LiftConfig",
-    "LshModel",
-    "MmcHyperparams",
-    "MmcModel",
-    "PcaModel",
-    "ShModel",
-    "apply_pca",
-    "encode",
-    "fit_pca",
-    "lift_features",
-    "train_lsh",
-    "train_mmc",
-    "train_sh",
-    # bench
-    "HitCost",
-    "NoiseCurve",
-    "SplitProtocol",
-    "hit_cost_analysis",
-    "planted_meaningful_set",
-    "run_noise_curve",
-    "run_split_validation",
-    "split_meaningful",
-    # keywords
-    "HitRateReport",
-    "KeywordReport",
-    "NamingTable",
-    "TruthTable",
-    "evaluate_hit_rate",
-    "generate_keywords",
-    "merge_duplicates",
-    "nameable_count",
+    *attributes.__all__,
+    *subspace.__all__,
+    *discovery.__all__,
+    *bench.__all__,
+    *keywords.__all__,
 ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attributes import as_attribute_matrix, concat_attributes, random_attribute_set
+from .attributes import as_attribute_matrix, random_attribute_set
 from .subspace import SolverConfig, distance_cvx
 
 __all__ = [
@@ -123,16 +123,21 @@ def run_split_validation(
 
     entries = [(MEANINGFUL_ROW, held_out), (NON_MEANINGFUL_ROW, random_set)]
     entries.extend(methods)
+    # one solve for every entry: they all share the retained columns
+    result = distance_cvx(
+        retained, np.concatenate([Z for _, Z in entries], axis=1), config
+    )
+    bounds = np.cumsum([0] + [Z.shape[1] for _, Z in entries])
     rows = []
-    for name, Z in entries:
-        result = distance_cvx(retained, Z, config)
+    for (name, Z), a, b in zip(entries, bounds[:-1], bounds[1:]):
+        mean = float(result.per_attribute_residuals[a:b].mean())
         rows.append(
             {
                 "name": name,
                 "columns": int(Z.shape[1]),
-                "mean_distance": result.mean_distance,
-                "normalized_distance": result.normalized_distance,
-                "all_converged": bool(all(result.converged)),
+                "mean_distance": mean,
+                "normalized_distance": mean / n,
+                "all_converged": all(result.converged[a:b]),
             }
         )
     rows.sort(key=lambda row: (row["mean_distance"], row["name"]))
@@ -187,18 +192,23 @@ def run_noise_curve(
         raise ValueError(f"trials must be >= 1, got {trials}")
 
     counts = list(range(0, max_noise + 1, step))
-    means = []
-    for t in counts:
-        if t == 0:
-            means.append(distance_cvx(S, D, config).mean_distance)
-            continue
+    # D and every (count, trial) draw go into one solve; each column's
+    # residual does not depend on the others in the batch, so every cell
+    # averages the same residuals as solving [D, noise] on its own
+    draws = [
+        random_attribute_set(D.shape[0], t, seed + t * _SEED_STRIDE + trial)
+        for t in counts[1:]
+        for trial in range(trials)
+    ]
+    result = distance_cvx(S, np.concatenate([D, *draws], axis=1), config)
+    base, noise = np.split(result.per_attribute_residuals, [D.shape[1]])
+    means = [float(base.mean())]
+    start = 0
+    for t in counts[1:]:
         vals = []
-        for trial in range(trials):
-            noise = random_attribute_set(
-                D.shape[0], t, seed + t * _SEED_STRIDE + trial
-            )
-            mixed = concat_attributes(D, noise)
-            vals.append(distance_cvx(S, mixed, config).mean_distance)
+        for _ in range(trials):
+            vals.append(float(np.concatenate([base, noise[start : start + t]]).mean()))
+            start += t
         means.append(float(np.mean(vals)))
     return NoiseCurve(
         counts=tuple(counts),

@@ -15,12 +15,15 @@ files.  Formats:
   produce byte-identical files.
 
 Exit codes: 0 success, 2 usage, 3 input/format, 4 numeric failure.
-All randomness flows from ``--seed``; output files are written atomically.
+All randomness flows from ``--seed``.  A command's output files appear
+together or not at all: each is staged next to its target and renamed into
+place only after every write has succeeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -279,37 +282,64 @@ def read_keywords_json(path) -> KeywordReport:
 # writers
 
 
-def _atomic_write_text(path, text: str) -> None:
-    # write to a sibling temp file, then rename over the target
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".attrmeaning-", suffix=".tmp")
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _sibling_temp(target) -> str:
+    # an empty temp file in the target's directory, so publishing it is a
+    # rename within one file system; errors name the target, not the temp
+    directory = os.path.dirname(os.path.abspath(target))
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".attrmeaning-", suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, target) from None
+    os.close(fd)
+    return tmp
+
+
+@contextlib.contextmanager
+def _staged_outputs(*targets):
+    """Yield one temp path per target; publish them all if the block succeeds.
+
+    On any failure every temp file and every target already published by
+    this call is removed, so a failing command leaves no output behind.
+    OS errors are re-raised naming the target path.
+    """
+    temps, published = [], []
+    try:
+        for target in targets:
+            temps.append(_sibling_temp(target))
+        yield temps
+        for tmp, target in zip(temps, targets):
+            os.replace(tmp, target)
+            published.append(target)
+    except BaseException as exc:
+        for path in temps + published:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        if isinstance(exc, OSError) and exc.filename in temps:
+            target = targets[temps.index(exc.filename)]
+            raise OSError(exc.errno, exc.strerror, target) from exc
         raise
 
 
 def write_attribute_csv(path, Z) -> None:
     Z = as_attribute_matrix(Z)
     lines = [",".join("1" if v == 1 else "-1" for v in row) for row in Z]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_json(path, document) -> None:
-    _atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def write_curve_csv(path, curve) -> None:
     lines = ["count,mean_distance"]
     for count, dist in zip(curve.counts, curve.distances):
         lines.append(f"{count},{float(dist)!r}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _meta(args, seed=None) -> dict:
@@ -371,33 +401,43 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(doc: dict):
-    """Rebuild a coder model from its JSON document."""
+    """Rebuild a coder model from its JSON document.
+
+    Raises InputFormatError when the document is not an object, names an
+    unknown model type, or lacks or mistypes a field.
+    """
+    if not isinstance(doc, dict):
+        raise InputFormatError(
+            f"model document must be a JSON object, got {type(doc).__name__}"
+        )
     kind = doc.get("type")
-    payload = doc.get("payload", {})
-    if kind == "lsh":
-        return LshModel(
-            hyperplanes=np.asarray(payload["hyperplanes"], dtype=np.float64),
-            dims=int(doc["dims"]),
-            bits=int(doc["bits"]),
-            seed=int(doc["seed"]),
-        )
-    if kind == "sh":
-        pca = payload["pca"]
-        return ShModel(
-            pca=PcaModel(
-                mean=np.asarray(pca["mean"], dtype=np.float64),
-                basis=np.asarray(pca["basis"], dtype=np.float64),
-                explained_variance=np.asarray(
-                    pca["explained_variance"], dtype=np.float64
+    if kind not in ("lsh", "sh", "mmc"):
+        raise InputFormatError(f"unknown model type: {kind!r}")
+    try:
+        payload = doc["payload"]
+        if kind == "lsh":
+            return LshModel(
+                hyperplanes=np.asarray(payload["hyperplanes"], dtype=np.float64),
+                dims=int(doc["dims"]),
+                bits=int(doc["bits"]),
+                seed=int(doc["seed"]),
+            )
+        if kind == "sh":
+            pca = payload["pca"]
+            return ShModel(
+                pca=PcaModel(
+                    mean=np.asarray(pca["mean"], dtype=np.float64),
+                    basis=np.asarray(pca["basis"], dtype=np.float64),
+                    explained_variance=np.asarray(
+                        pca["explained_variance"], dtype=np.float64
+                    ),
                 ),
-            ),
-            ranges=np.asarray(payload["ranges"], dtype=np.float64),
-            modes=np.asarray(payload["modes"], dtype=np.int64),
-            eigenvalues=np.asarray(payload["eigenvalues"], dtype=np.float64),
-            dims=int(doc["dims"]),
-            bits=int(doc["bits"]),
-        )
-    if kind == "mmc":
+                ranges=np.asarray(payload["ranges"], dtype=np.float64),
+                modes=np.asarray(payload["modes"], dtype=np.int64),
+                eigenvalues=np.asarray(payload["eigenvalues"], dtype=np.float64),
+                dims=int(doc["dims"]),
+                bits=int(doc["bits"]),
+            )
         hp = payload["hyperparams"]
         return MmcModel(
             hyperplanes=np.asarray(payload["hyperplanes"], dtype=np.float64),
@@ -411,7 +451,14 @@ def model_from_dict(doc: dict):
                 learning_rate=float(hp["learning_rate"]),
             ),
         )
-    raise InputFormatError(f"unknown model type: {kind!r}")
+    except KeyError as exc:
+        raise InputFormatError(
+            f"{kind} model document is missing field {exc.args[0]!r}"
+        ) from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise InputFormatError(
+            f"{kind} model document has a mistyped field: {exc}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +493,9 @@ def cmd_discover(args) -> int:
         model = train_mmc(F, labels, args.bits, seed=args.seed)
     codes = encode(model, F)
 
-    write_json(args.model_out, model_to_dict(model))
-    write_attribute_csv(args.codes_out, codes)
+    with _staged_outputs(args.model_out, args.codes_out) as (model_out, codes_out):
+        write_json(model_out, model_to_dict(model))
+        write_attribute_csv(codes_out, codes)
     return EXIT_OK
 
 
@@ -470,7 +518,8 @@ def cmd_distance(args) -> int:
         "per_attribute_residuals": result.per_attribute_residuals.tolist(),
         "converged": list(result.converged) if result.converged else None,
     }
-    write_json(args.out, report)
+    with _staged_outputs(args.out) as (out,):
+        write_json(out, report)
     return EXIT_OK
 
 
@@ -492,7 +541,8 @@ def cmd_bench_split_validate(args) -> int:
     protocol = SplitProtocol(seed=args.seed, left_fraction=args.left_fraction)
     report = run_split_validation(S, methods, protocol, _solver_config(args))
     report = {"meta": _meta(args, seed=args.seed), **report}
-    write_json(args.out, report)
+    with _staged_outputs(args.out) as (out,):
+        write_json(out, report)
     return EXIT_OK
 
 
@@ -515,8 +565,9 @@ def cmd_bench_noise_curve(args) -> int:
         "trials": curve.trials,
         "seed": curve.seed,
     }
-    write_json(args.out, report)
-    write_curve_csv(args.csv_out, curve)
+    with _staged_outputs(args.out, args.csv_out) as (out, csv_out):
+        write_json(out, report)
+        write_curve_csv(csv_out, curve)
     return EXIT_OK
 
 
@@ -530,7 +581,8 @@ def cmd_keywords_generate(args) -> int:
         "vocabulary": list(report.vocabulary),
         "items": {item: list(words) for item, words in report.items.items()},
     }
-    write_json(args.out, document)
+    with _staged_outputs(args.out) as (out,):
+        write_json(out, document)
     return EXIT_OK
 
 
@@ -546,7 +598,8 @@ def cmd_keywords_evaluate(args) -> int:
         "per_keyword": rates.per_keyword,
         "per_action": rates.per_action,
     }
-    write_json(args.out, document)
+    with _staged_outputs(args.out) as (out,):
+        write_json(out, document)
     return EXIT_OK
 
 
@@ -554,16 +607,35 @@ def cmd_keywords_evaluate(args) -> int:
 # parser
 
 
+def _checked(convert, accept, expected):
+    # argparse type: a bad value is a usage error (exit 2) naming the flag
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_open_unit_float = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_unit_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+
+
 def _add_solver_flags(parser):
     parser.add_argument(
         "--tolerance",
-        type=float,
+        type=_open_unit_float,
         default=1e-8,
         help="relative objective-change tolerance (default 1e-8)",
     )
     parser.add_argument(
         "--max-iterations",
-        type=int,
+        type=_positive_int,
         default=10_000,
         help="projected-gradient iteration cap (default 10000)",
     )
@@ -579,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discover", help="train a coder and emit attribute codes")
     p.add_argument("--method", choices=("lsh", "sh", "mmc"), required=True)
-    p.add_argument("--bits", type=int, required=True)
+    p.add_argument("--bits", type=_positive_int, required=True)
     p.add_argument("--features", required=True, help="feature CSV (reals, no header)")
     p.add_argument("--labels", help="label CSV, one integer per line (mmc only)")
     p.add_argument(
@@ -589,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--pca-keep",
-        type=float,
+        type=_unit_fraction,
         default=None,
         metavar="FRACTION",
         help="apply PCA keeping ceil(FRACTION * D) directions",
@@ -621,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="named attribute CSV to score (repeatable)",
     )
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--left-fraction", type=float, default=0.5)
+    b.add_argument("--left-fraction", type=_open_unit_float, default=0.5)
     b.add_argument("--out", required=True)
     _add_solver_flags(b)
     b.set_defaults(func=cmd_bench_split_validate)
@@ -629,9 +701,9 @@ def build_parser() -> argparse.ArgumentParser:
     b = bench_sub.add_parser("noise-curve", help="distance vs injected random bits")
     b.add_argument("--discovered", required=True)
     b.add_argument("--meaningful", required=True)
-    b.add_argument("--max-noise", type=int, required=True)
-    b.add_argument("--step", type=int, required=True)
-    b.add_argument("--trials", type=int, required=True)
+    b.add_argument("--max-noise", type=_positive_int, required=True)
+    b.add_argument("--step", type=_positive_int, required=True)
+    b.add_argument("--trials", type=_positive_int, required=True)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", required=True, help="report JSON path")
     b.add_argument("--csv-out", required=True, help="curve CSV path")

@@ -11,6 +11,10 @@ the columns of S reconstruct it:
 Distances over a whole discovered matrix are the per-column residuals
 averaged.  Lower means the discovered attributes lie closer to (the hull of)
 the labelled ones.
+
+Each regime has one batched core that solves every column of D at once.
+A column's solve does not depend, beyond float rounding, on which other
+columns share the batch.
 """
 
 from __future__ import annotations
@@ -49,13 +53,10 @@ class SolverConfig:
 
     max_iterations : hard cap on gradient steps.
     objective_tolerance : relative objective-change threshold for convergence.
-    step_rule : how the step size is chosen; only "lipschitz" (constant
-        1 / lambda_max of A^T A) is implemented.
     """
 
     max_iterations: int = 10_000
     objective_tolerance: float = 1e-8
-    step_rule: str = "lipschitz"
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -64,8 +65,6 @@ class SolverConfig:
             raise ValueError(
                 f"objective_tolerance must be in (0, 1), got {self.objective_tolerance}"
             )
-        if self.step_rule != "lipschitz":
-            raise ValueError(f"unknown step_rule: {self.step_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +89,7 @@ class ReconstructionResult:
     mode : "plain" for unconstrained least squares, "cvx" for the
         simplex-constrained solve.
     converged : per-column solver convergence flags ("cvx" mode only).
+    iterations : per-column gradient step counts ("cvx" mode only).
     """
 
     coefficients: np.ndarray
@@ -98,11 +98,120 @@ class ReconstructionResult:
     normalized_distance: float
     mode: str
     converged: tuple[bool, ...] | None = field(default=None)
+    iterations: tuple[int, ...] | None = field(default=None)
 
 
-def _lstsq_rcond(n: int, j: int) -> float:
+def _as_pair(S, D):
+    S = as_attribute_matrix(S)
+    D = as_attribute_matrix(D)
+    if S.shape[0] != D.shape[0]:
+        raise ValueError(
+            f"row count mismatch: subspace has {S.shape[0]} rows, "
+            f"discovered set has {D.shape[0]}"
+        )
+    return S, D
+
+
+def _as_column_pair(A, z):
+    # validated (A, z) as (N, J) and (N, 1) int8 matrices
+    A = as_attribute_matrix(A)
+    z = as_attribute_vector(z)
+    if A.shape[0] != z.shape[0]:
+        raise ValueError(
+            f"row count mismatch: subspace has {A.shape[0]} rows, "
+            f"attribute has {z.shape[0]}"
+        )
+    return A, z[:, None]
+
+
+def _residuals(Sf, R, D) -> np.ndarray:
+    # ||Sf r_k - d_k||^2 for every column, in direct form
+    E = Sf @ R
+    E -= D
+    resid = np.einsum("ij,ij->j", E, E)
+    if not np.isfinite(resid).all():
+        raise FloatingPointError("reconstruction residual is not finite")
+    return resid
+
+
+def _solve_plain(S, D):
+    # one rank-revealing least-squares solve with D as the right-hand side;
     # singular values below max(N, J) * eps * sigma_max are treated as zero
-    return max(n, j) * np.finfo(np.float64).eps
+    Sf = S.astype(np.float64)
+    rcond = max(S.shape) * np.finfo(np.float64).eps
+    R = np.linalg.lstsq(Sf, D.astype(np.float64), rcond=rcond)[0]
+    return R, _residuals(Sf, R, D)
+
+
+def _project_rows(V) -> np.ndarray:
+    # project_simplex applied to each row (Duchi et al. 2008)
+    j = V.shape[1]
+    u = np.sort(V, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    ranks = np.arange(1, j + 1, dtype=np.float64)
+    positive = u + (1.0 - css) / ranks > 0.0
+    rho = j - 1 - np.argmax(positive[:, ::-1], axis=1)
+    theta = (1.0 - css[np.arange(V.shape[0]), rho]) / (rho + 1.0)
+    return np.maximum(V + theta[:, None], 0.0)
+
+
+def _solve_cvx(S, D, config: SolverConfig):
+    # projected gradient on every column at once, with coefficient vectors as
+    # the rows of r.  In Gram form f(r) = r.(G r - 2 b) + z.z costs O(J^2) per
+    # column, and G r is reused as the next gradient.  A column leaves the
+    # active set as soon as it meets the stopping rule.
+    Sf = S.astype(np.float64)
+    n, j = Sf.shape
+    k = D.shape[1]
+    G = Sf.T @ Sf
+    b = D.T.astype(np.float64) @ Sf
+    zz = float(n)  # every entry is +-1
+    step = 1.0 / np.linalg.eigvalsh(G)[-1]
+
+    r = np.full((k, j), 1.0 / j)
+    gr = r @ G
+    obj = np.einsum("ij,ij->i", r, gr - 2.0 * b) + zz
+    R = np.empty((k, j), dtype=np.float64)
+    iterations = np.full(k, config.max_iterations, dtype=np.int64)
+    converged = np.zeros(k, dtype=bool)
+    active = np.arange(k)
+    for it in range(1, config.max_iterations + 1):
+        r_new = _project_rows(r - step * (gr - b))
+        gr_new = r_new @ G
+        obj_new = np.einsum("ij,ij->i", r_new, gr_new - 2.0 * b) + zz
+        if not np.isfinite(obj_new).all():
+            raise FloatingPointError("projected-gradient objective is not finite")
+        assert (obj_new <= obj + _DESCENT_SLACK).all(), (
+            f"objective increased in column {active[np.argmax(obj_new - obj)]}"
+        )
+        rel = np.abs(obj - obj_new) / np.maximum(obj, _ZERO_OBJECTIVE)
+        r, gr, obj = r_new, gr_new, obj_new
+        done = (rel < config.objective_tolerance) | (obj <= _ZERO_OBJECTIVE)
+        if done.any():
+            finished = active[done]
+            R[finished] = r[done]
+            iterations[finished] = it
+            converged[finished] = True
+            keep = ~done
+            r, gr, b, obj, active = r[keep], gr[keep], b[keep], obj[keep], active[keep]
+            if active.size == 0:
+                break
+    R[active] = r
+    R = R.T
+    return R, _residuals(Sf, R, D), converged, iterations
+
+
+def _result(S, mode, R, resid, converged=None, iterations=None):
+    mean = float(resid.mean())
+    return ReconstructionResult(
+        coefficients=R,
+        per_attribute_residuals=resid,
+        mean_distance=mean,
+        normalized_distance=mean / S.shape[0],
+        mode=mode,
+        converged=None if converged is None else tuple(converged.tolist()),
+        iterations=None if iterations is None else tuple(iterations.tolist()),
+    )
 
 
 def reconstruct_ls(A, z) -> tuple[np.ndarray, float]:
@@ -121,54 +230,18 @@ def reconstruct_ls(A, z) -> tuple[np.ndarray, float]:
     r : (J,) reconstruction coefficients.
     residual : float, ||A r - z||_2^2.
     """
-    A = as_attribute_matrix(A)
-    z = as_attribute_vector(z)
-    if A.shape[0] != z.shape[0]:
-        raise ValueError(
-            f"row count mismatch: subspace has {A.shape[0]} rows, "
-            f"attribute has {z.shape[0]}"
-        )
-    Af = A.astype(np.float64)
-    zf = z.astype(np.float64)
-    r, _, _, _ = np.linalg.lstsq(Af, zf, rcond=_lstsq_rcond(*A.shape))
-    resid = float(np.sum((Af @ r - zf) ** 2))
-    if not np.isfinite(resid):
-        raise FloatingPointError("least-squares residual is not finite")
-    return r, resid
-
-
-def _as_pair(S, D):
-    S = as_attribute_matrix(S)
-    D = as_attribute_matrix(D)
-    if S.shape[0] != D.shape[0]:
-        raise ValueError(
-            f"row count mismatch: subspace has {S.shape[0]} rows, "
-            f"discovered set has {D.shape[0]}"
-        )
-    return S, D
+    R, resid = _solve_plain(*_as_column_pair(A, z))
+    return R[:, 0], float(resid[0])
 
 
 def distance_plain(S, D) -> ReconstructionResult:
     """Mean unconstrained reconstruction distance of D's columns from S.
 
-    delta = (1/K) * sum_k min_r ||S r - D[:, k]||^2, realized column by
-    column via :func:`reconstruct_ls`.
+    delta = (1/K) * sum_k min_r ||S r - D[:, k]||^2, with every column solved
+    in one least-squares call.
     """
     S, D = _as_pair(S, D)
-    n, j = S.shape
-    k = D.shape[1]
-    R = np.empty((j, k), dtype=np.float64)
-    resid = np.empty(k, dtype=np.float64)
-    for col in range(k):
-        R[:, col], resid[col] = reconstruct_ls(S, D[:, col])
-    mean = float(resid.mean())
-    return ReconstructionResult(
-        coefficients=R,
-        per_attribute_residuals=resid,
-        mean_distance=mean,
-        normalized_distance=mean / n,
-        mode="plain",
-    )
+    return _result(S, "plain", *_solve_plain(S, D))
 
 
 def project_simplex(v) -> np.ndarray:
@@ -187,64 +260,7 @@ def project_simplex(v) -> np.ndarray:
         raise ValueError("input must be non-empty")
     if not np.isfinite(v).all():
         raise ValueError("input contains non-finite entries")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ranks = np.arange(1, v.shape[0] + 1, dtype=np.float64)
-    rho = np.nonzero(u + (1.0 - css) / ranks > 0.0)[0][-1]
-    theta = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + theta, 0.0)
-
-
-def _power_iteration_lmax(M: np.ndarray) -> float:
-    # largest eigenvalue of a PSD matrix; deterministic seeded start so the
-    # step size (and hence the whole solve) is reproducible
-    j = M.shape[0]
-    rng = np.random.default_rng(1729)
-    v = rng.standard_normal(j)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(2000):
-        w = M @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            break
-        v = w / norm
-        lam_new = float(v @ (M @ v))
-        if abs(lam_new - lam) <= 1e-13 * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-    if lam <= 0.0:
-        # PSD trace bounds the spectral radius from above
-        lam = float(np.trace(M))
-    return lam
-
-
-def _pgd_simplex(AtA, Atz, Af, zf, config: SolverConfig, lmax: float) -> SimplexFit:
-    j = AtA.shape[0]
-    r = np.full(j, 1.0 / j)
-    obj = float(np.sum((Af @ r - zf) ** 2))
-    step = 1.0 / lmax
-    converged = False
-    iterations = 0
-    for it in range(config.max_iterations):
-        grad = AtA @ r - Atz
-        r_new = project_simplex(r - step * grad)
-        obj_new = float(np.sum((Af @ r_new - zf) ** 2))
-        if not np.isfinite(obj_new):
-            raise FloatingPointError("projected-gradient objective is not finite")
-        assert obj_new <= obj + _DESCENT_SLACK, (
-            f"objective increased: {obj} -> {obj_new}"
-        )
-        rel = abs(obj - obj_new) / max(obj, _ZERO_OBJECTIVE)
-        r, obj = r_new, obj_new
-        iterations = it + 1
-        if rel < config.objective_tolerance or obj <= _ZERO_OBJECTIVE:
-            converged = True
-            break
-    return SimplexFit(
-        coefficients=r, residual=obj, converged=converged, iterations=iterations
-    )
+    return _project_rows(v[None, :])[0]
 
 
 def reconstruct_cvx(A, z, config: SolverConfig | None = None) -> SimplexFit:
@@ -252,8 +268,8 @@ def reconstruct_cvx(A, z, config: SolverConfig | None = None) -> SimplexFit:
 
     Solves min_r ||A r - z||^2 subject to r_i >= 0 and sum_i r_i = 1 by
     projected gradient descent: uniform start, fixed step 1 / lambda_max of
-    A^T A (power iteration), Euclidean simplex projection each step.  Stops
-    when the relative objective change drops below
+    A^T A (exact symmetric eigensolve), Euclidean simplex projection each
+    step.  Stops when the relative objective change drops below
     ``config.objective_tolerance``, when the objective is exactly-zero small,
     or when iterations are exhausted (the result is still returned, with
     ``converged`` False).
@@ -261,19 +277,15 @@ def reconstruct_cvx(A, z, config: SolverConfig | None = None) -> SimplexFit:
     Every iterate is the output of the projection, so the returned
     coefficients satisfy the constraints regardless of convergence.
     """
-    A = as_attribute_matrix(A)
-    z = as_attribute_vector(z)
-    if A.shape[0] != z.shape[0]:
-        raise ValueError(
-            f"row count mismatch: subspace has {A.shape[0]} rows, "
-            f"attribute has {z.shape[0]}"
-        )
-    config = config or SolverConfig()
-    Af = A.astype(np.float64)
-    zf = z.astype(np.float64)
-    AtA = Af.T @ Af
-    lmax = _power_iteration_lmax(AtA)
-    return _pgd_simplex(AtA, Af.T @ zf, Af, zf, config, lmax)
+    R, resid, converged, iterations = _solve_cvx(
+        *_as_column_pair(A, z), config or SolverConfig()
+    )
+    return SimplexFit(
+        coefficients=R[:, 0],
+        residual=float(resid[0]),
+        converged=bool(converged[0]),
+        iterations=int(iterations[0]),
+    )
 
 
 def distance_cvx(S, D, config: SolverConfig | None = None) -> ReconstructionResult:
@@ -284,30 +296,7 @@ def distance_cvx(S, D, config: SolverConfig | None = None) -> ReconstructionResu
     discovered attribute sits from the convex hull of the labelled ones.
     """
     S, D = _as_pair(S, D)
-    config = config or SolverConfig()
-    n, j = S.shape
-    k = D.shape[1]
-    Sf = S.astype(np.float64)
-    StS = Sf.T @ Sf
-    lmax = _power_iteration_lmax(StS)
-    R = np.empty((j, k), dtype=np.float64)
-    resid = np.empty(k, dtype=np.float64)
-    flags = []
-    for col in range(k):
-        zf = D[:, col].astype(np.float64)
-        fit = _pgd_simplex(StS, Sf.T @ zf, Sf, zf, config, lmax)
-        R[:, col] = fit.coefficients
-        resid[col] = fit.residual
-        flags.append(fit.converged)
-    mean = float(resid.mean())
-    return ReconstructionResult(
-        coefficients=R,
-        per_attribute_residuals=resid,
-        mean_distance=mean,
-        normalized_distance=mean / n,
-        mode="cvx",
-        converged=tuple(flags),
-    )
+    return _result(S, "cvx", *_solve_cvx(S, D, config or SolverConfig()))
 
 
 def _simplex_grid(j: int, divisions: int) -> np.ndarray:
@@ -333,13 +322,7 @@ def brute_force_cvx_oracle(A, z, grid_step: float = 0.01) -> float:
     this exists to validate the iterative solver on small problems, not for
     production use.
     """
-    A = as_attribute_matrix(A)
-    z = as_attribute_vector(z)
-    if A.shape[0] != z.shape[0]:
-        raise ValueError(
-            f"row count mismatch: subspace has {A.shape[0]} rows, "
-            f"attribute has {z.shape[0]}"
-        )
+    A, z = _as_column_pair(A, z)
     if A.shape[1] > 4:
         raise ValueError(
             f"brute-force search is limited to J <= 4 columns, got {A.shape[1]}"
@@ -348,9 +331,7 @@ def brute_force_cvx_oracle(A, z, grid_step: float = 0.01) -> float:
         raise ValueError(f"grid_step must be in (0, 0.1], got {grid_step}")
     divisions = int(round(1.0 / grid_step))
     grid = _simplex_grid(A.shape[1], divisions)  # (P, J)
-    Af = A.astype(np.float64)
-    zf = z.astype(np.float64)
-    resid = np.sum((grid @ Af.T - zf) ** 2, axis=1)
+    resid = np.sum((grid @ A.T.astype(np.float64) - z[:, 0]) ** 2, axis=1)
     return float(resid.min())
 
 
@@ -365,14 +346,16 @@ def rank_methods(entries, S, config: SolverConfig | None = None):
     Returns
     -------
     list of (name, mean_distance), ascending by distance with name as the
-    deterministic tie-break.
+    deterministic tie-break.  All entries are solved in one batch.
     """
-    entries = list(entries)
+    entries = [(str(name), _as_pair(S, D)[1]) for name, D in entries]
     if not entries:
         raise ValueError("at least one named attribute set is required")
-    scored = []
-    for name, D in entries:
-        result = distance_cvx(S, D, config)
-        scored.append((str(name), result.mean_distance))
+    result = distance_cvx(S, np.concatenate([D for _, D in entries], axis=1), config)
+    bounds = np.cumsum([0] + [D.shape[1] for _, D in entries])
+    scored = [
+        (name, float(result.per_attribute_residuals[a:b].mean()))
+        for (name, _), a, b in zip(entries, bounds[:-1], bounds[1:])
+    ]
     scored.sort(key=lambda pair: (pair[1], pair[0]))
     return scored

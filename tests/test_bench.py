@@ -99,6 +99,40 @@ def test_noise_curve_is_deterministic():
     assert c1 == c2
 
 
+def test_batched_protocols_match_one_solve_per_cell():
+    # split validation and the noise curve make one batched solve; each row
+    # and each curve point must equal the per-entry / per-(count, trial)
+    # solves they replace, with the same draw seeds
+    S = planted_meaningful_set(70, 10, seed=6)
+    codes = random_attribute_set(70, 5, seed=7)
+    report = run_split_validation(S, [("codes", codes)], SplitProtocol(seed=8))
+    retained, held_out = split_meaningful(S, SplitProtocol(seed=8))
+    entries = {
+        MEANINGFUL_ROW: held_out,
+        NON_MEANINGFUL_ROW: random_attribute_set(70, 5, seed=8 + 10_007),
+        "codes": codes,
+    }
+    for row in report["rows"]:
+        alone = distance_cvx(retained, entries[row["name"]])
+        assert row["mean_distance"] == pytest.approx(alone.mean_distance, rel=1e-12)
+        assert row["all_converged"] == all(alone.converged)
+
+    D = S[:, :4]
+    curve = run_noise_curve(D, S, max_noise=4, step=2, trials=3, seed=11)
+    for count, got in zip(curve.counts[1:], curve.distances[1:]):
+        per_trial = [
+            distance_cvx(
+                S,
+                np.concatenate(
+                    [D, random_attribute_set(70, count, 11 + count * 10_007 + trial)],
+                    axis=1,
+                ),
+            ).mean_distance
+            for trial in range(3)
+        ]
+        assert got == pytest.approx(np.mean(per_trial), rel=1e-12)
+
+
 def test_noise_curve_validation():
     S = random_attribute_set(20, 4, seed=0)
     D = random_attribute_set(20, 2, seed=1)

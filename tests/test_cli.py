@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from attrmeaning import encode
-from attrmeaning.cli import main, model_from_dict
+import attrmeaning.cli as cli
+from attrmeaning.cli import InputFormatError, main, model_from_dict
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -246,6 +247,133 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-iterations", "0"), ("--tolerance", "0"), ("--tolerance", "1.5"),
+     ("--tolerance", "abc")],
+)
+def test_solver_flag_values_exit_two(tmp_path, meaningful_csv, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "distance", "--meaningful", meaningful_csv,
+                "--discovered", meaningful_csv, "--mode", "cvx",
+                "--out", str(tmp_path / "r.json"), flag, value,
+            ]
+        )
+    assert exc.value.code == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--bits", "0"), ("--bits", "-3"), ("--bits", "two"), ("--pca-keep", "0"),
+     ("--pca-keep", "1.5")],
+)
+def test_discover_flag_values_exit_two(tmp_path, features_csv, flag, value):
+    argv = [
+        "discover", "--method", "lsh", "--bits", "2", "--features", features_csv,
+        "--model-out", str(tmp_path / "m.json"), "--codes-out", str(tmp_path / "z.csv"),
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("split-validate", ["--left-fraction", "1.0"]),
+        ("noise-curve", ["--max-noise", "2", "--step", "0", "--trials", "1"]),
+        ("noise-curve", ["--max-noise", "2", "--step", "2", "--trials", "0"]),
+    ],
+)
+def test_bench_flag_values_exit_two(tmp_path, meaningful_csv, command, flags):
+    files = ["--meaningful", meaningful_csv, "--out", str(tmp_path / "o.json")]
+    if command == "noise-curve":
+        files += ["--discovered", meaningful_csv, "--csv-out", str(tmp_path / "o.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", command, *files, *flags])
+    assert exc.value.code == 2
+
+
+def _left_behind(directory, inputs=()):
+    return sorted(p.name for p in directory.iterdir() if str(p) not in inputs)
+
+
+def test_discover_failed_codes_write_leaves_no_output(tmp_path, features_csv, capsys):
+    target = tmp_path / "missing" / "z.csv"
+    rc = main(
+        [
+            "discover", "--method", "lsh", "--bits", "2", "--features", features_csv,
+            "--model-out", str(tmp_path / "m.json"), "--codes-out", str(target),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(target) in err and ".tmp" not in err
+    assert _left_behind(tmp_path, [features_csv]) == []
+
+
+def test_noise_curve_failed_csv_write_leaves_no_output(tmp_path, meaningful_csv, capsys):
+    target = tmp_path / "missing" / "nc.csv"
+    rc = main(
+        [
+            "bench", "noise-curve", "--discovered", meaningful_csv,
+            "--meaningful", meaningful_csv, "--max-noise", "2", "--step", "2",
+            "--trials", "1", "--out", str(tmp_path / "nc.json"),
+            "--csv-out", str(target),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(target) in err and ".tmp" not in err
+    assert _left_behind(tmp_path, [meaningful_csv]) == []
+
+
+def test_failure_after_first_output_is_written_leaves_no_output(
+    tmp_path, meaningful_csv, capsys, monkeypatch
+):
+    # the report JSON is already written when the curve CSV write fails
+    def disk_full(path, curve):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "write_curve_csv", disk_full)
+    target = tmp_path / "nc.csv"
+    rc = main(
+        [
+            "bench", "noise-curve", "--discovered", meaningful_csv,
+            "--meaningful", meaningful_csv, "--max-noise", "2", "--step", "2",
+            "--trials", "1", "--out", str(tmp_path / "nc.json"),
+            "--csv-out", str(target),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(target) in err and ".tmp" not in err
+    assert _left_behind(tmp_path, [meaningful_csv]) == []
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ({"type": "lsh"}, "missing field 'payload'"),
+        ({"type": "lsh", "payload": {}}, "missing field 'hyperplanes'"),
+        (
+            {"type": "lsh", "payload": {"hyperplanes": [[1.0]]},
+             "dims": "three", "bits": 1, "seed": 0},
+            "mistyped",
+        ),
+        ({"type": "mmc", "payload": []}, "mistyped"),
+        ({"type": "pq"}, "unknown model type"),
+        (["lsh"], "JSON object"),
+    ],
+)
+def test_model_from_dict_rejects_malformed_documents(doc, match):
+    with pytest.raises(InputFormatError, match=match):
+        model_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -220,8 +220,59 @@ def test_solver_config_validation():
         SolverConfig(objective_tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(objective_tolerance=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(step_rule="exact")
+
+
+# ---------------------------------------------------------------------------
+# batched cores
+
+
+def _mixed_columns(S, k, seed):
+    # exact members, near-hull blends with flipped bits, and uniform columns
+    rng = np.random.default_rng(seed)
+    n, j = S.shape
+    cols = [S[:, 0], S[:, j - 1]]
+    for _ in range(k // 2):
+        col = np.where(S @ rng.dirichlet(np.ones(j)) >= 0.0, 1, -1).astype(np.int8)
+        flip = rng.choice(n, size=n // 10, replace=False)
+        col[flip] = -col[flip]
+        cols.append(col)
+    uniform = random_attribute_set(n, k - len(cols), seed=seed + 1)
+    return np.concatenate([np.stack(cols, axis=1), uniform], axis=1)
+
+
+@pytest.mark.parametrize("n, j, k", [(60, 6, 10), (150, 12, 16)])
+def test_batched_columns_match_single_column_solves(n, j, k):
+    S = random_attribute_set(n, j, seed=n + j)
+    D = _mixed_columns(S, k, seed=k)
+    plain, cvx = distance_plain(S, D), distance_cvx(S, D)
+    assert cvx.iterations is not None and len(cvx.iterations) == k
+    for col in range(k):
+        r, resid = reconstruct_ls(S, D[:, col])
+        assert resid == pytest.approx(plain.per_attribute_residuals[col], rel=1e-12, abs=1e-12)
+        assert r == pytest.approx(plain.coefficients[:, col], abs=1e-10)
+        fit = reconstruct_cvx(S, D[:, col])
+        assert fit.residual == pytest.approx(cvx.per_attribute_residuals[col], rel=1e-12, abs=1e-12)
+        assert fit.coefficients == pytest.approx(cvx.coefficients[:, col], abs=1e-10)
+        assert fit.converged == cvx.converged[col]
+        assert fit.iterations == cvx.iterations[col]
+
+
+def test_batch_does_not_change_a_columns_solve():
+    # the property split validation and the noise curve rely on: a column's
+    # residual is the same whatever other columns share its batch
+    S = random_attribute_set(80, 8, seed=31)
+    D = _mixed_columns(S, 12, seed=32)
+    extra = random_attribute_set(80, 20, seed=33)
+    batch = np.concatenate([extra[:, :7], D, extra[:, 7:]], axis=1)
+    cols = slice(7, 7 + D.shape[1])
+    for solve in (distance_plain, distance_cvx):
+        alone, mixed = solve(S, D), solve(S, batch)
+        assert mixed.per_attribute_residuals[cols] == pytest.approx(
+            alone.per_attribute_residuals, rel=1e-12, abs=1e-12
+        )
+        if solve is distance_cvx:
+            assert mixed.converged[cols] == alone.converged
+            assert mixed.iterations[cols] == alone.iterations
 
 
 # ---------------------------------------------------------------------------
