@@ -404,7 +404,8 @@ def model_from_dict(doc: dict):
     """Rebuild a coder model from its JSON document.
 
     Raises InputFormatError when the document is not an object, names an
-    unknown model type, or lacks or mistypes a field.
+    unknown model type, lacks or mistypes a field, or holds an array whose
+    shape does not fit its ``dims`` and ``bits``.
     """
     if not isinstance(doc, dict):
         raise InputFormatError(
@@ -416,15 +417,15 @@ def model_from_dict(doc: dict):
     try:
         payload = doc["payload"]
         if kind == "lsh":
-            return LshModel(
+            model = LshModel(
                 hyperplanes=np.asarray(payload["hyperplanes"], dtype=np.float64),
                 dims=int(doc["dims"]),
                 bits=int(doc["bits"]),
                 seed=int(doc["seed"]),
             )
-        if kind == "sh":
+        elif kind == "sh":
             pca = payload["pca"]
-            return ShModel(
+            model = ShModel(
                 pca=PcaModel(
                     mean=np.asarray(pca["mean"], dtype=np.float64),
                     basis=np.asarray(pca["basis"], dtype=np.float64),
@@ -438,19 +439,20 @@ def model_from_dict(doc: dict):
                 dims=int(doc["dims"]),
                 bits=int(doc["bits"]),
             )
-        hp = payload["hyperparams"]
-        return MmcModel(
-            hyperplanes=np.asarray(payload["hyperplanes"], dtype=np.float64),
-            classes=np.asarray(payload["classes"], dtype=np.int64),
-            dims=int(doc["dims"]),
-            bits=int(doc["bits"]),
-            seed=int(doc["seed"]),
-            hyperparams=MmcHyperparams(
-                regularization=float(hp["regularization"]),
-                epochs=int(hp["epochs"]),
-                learning_rate=float(hp["learning_rate"]),
-            ),
-        )
+        else:
+            hp = payload["hyperparams"]
+            model = MmcModel(
+                hyperplanes=np.asarray(payload["hyperplanes"], dtype=np.float64),
+                classes=np.asarray(payload["classes"], dtype=np.int64),
+                dims=int(doc["dims"]),
+                bits=int(doc["bits"]),
+                seed=int(doc["seed"]),
+                hyperparams=MmcHyperparams(
+                    regularization=float(hp["regularization"]),
+                    epochs=int(hp["epochs"]),
+                    learning_rate=float(hp["learning_rate"]),
+                ),
+            )
     except KeyError as exc:
         raise InputFormatError(
             f"{kind} model document is missing field {exc.args[0]!r}"
@@ -459,6 +461,43 @@ def model_from_dict(doc: dict):
         raise InputFormatError(
             f"{kind} model document has a mistyped field: {exc}"
         ) from None
+    _check_model_shapes(kind, model)
+    return model
+
+
+def _check_model_shapes(kind, model) -> None:
+    # a wrong shape would otherwise surface later as a numpy error in encode
+    dims, bits = model.dims, model.bits
+    if kind == "lsh":
+        expected = {"hyperplanes": (model.hyperplanes, (bits, dims))}
+    elif kind == "mmc":
+        expected = {"hyperplanes": (model.hyperplanes, (bits, dims + 1))}
+        if model.classes.ndim != 1 or model.classes.shape[0] < 2:
+            raise InputFormatError(
+                f"mmc model field 'classes' must list at least 2 classes, "
+                f"got shape {model.classes.shape}"
+            )
+    else:
+        basis = model.pca.basis
+        p = basis.shape[-1] if basis.ndim else 0
+        expected = {
+            "pca.mean": (model.pca.mean, (dims,)),
+            "pca.basis": (basis, (dims, p)),
+            "pca.explained_variance": (model.pca.explained_variance, (p,)),
+            "ranges": (model.ranges, (p, 2)),
+            "modes": (model.modes, (bits, 2)),
+            "eigenvalues": (model.eigenvalues, (bits,)),
+        }
+    for name, (array, shape) in expected.items():
+        if array.shape != shape:
+            raise InputFormatError(
+                f"{kind} model field {name!r} has shape {array.shape}, "
+                f"expected {shape} for dims {dims} and bits {bits}"
+            )
+    if kind == "sh" and not ((model.modes[:, 0] >= 0) & (model.modes[:, 0] < p)).all():
+        raise InputFormatError(
+            f"sh model field 'modes' names a direction outside 0..{p - 1}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +514,11 @@ def _solver_config(args) -> SolverConfig:
 def cmd_discover(args) -> int:
     F = read_feature_csv(args.features)
     labels = read_label_csv(args.labels) if args.labels else None
+    if labels is not None and labels.shape[0] != F.shape[0]:
+        raise InputFormatError(
+            f"{args.labels}: {labels.shape[0]} labels for {F.shape[0]} "
+            f"feature rows in {args.features}"
+        )
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LiftClampWarning)

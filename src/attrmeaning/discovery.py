@@ -303,35 +303,48 @@ class MmcModel:
 _HINGE_STEPS = 300
 
 
-def _fit_hinge(X: np.ndarray, y: np.ndarray, lam: float, lr: float):
-    # full-batch subgradient descent on mean hinge loss + lam * ||w||^2,
+def _fit_hinge(X: np.ndarray, T: np.ndarray, lam: float, lr: float):
+    # one-vs-rest hinge fits sharing the inputs X (n, d), one per target
+    # column of T (n, m) in {-1, +1}; returns W (m, d) and b (m,).  Each fit
+    # is full-batch subgradient descent on mean hinge loss + lam * ||w||^2,
     # learning rate lr / sqrt(t); bias unregularized; deterministic (no
     # shuffling).  Columns are standardized internally so the step size is
-    # meaningful regardless of feature scale; the returned (w, b) act on the
+    # meaningful regardless of feature scale; the returned (W, b) act on the
     # raw inputs.
     n, d = X.shape
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
     sd[sd == 0.0] = 1.0
-    Xs = (X - mu) / sd
-    w = np.zeros(d)
-    b = 0.0
-    for t in range(1, _HINGE_STEPS + 1):
-        margins = y * (Xs @ w + b)
-        viol = margins < 1.0
-        gw = 2.0 * lam * w
-        if viol.any():
-            gw -= (Xs[viol] * y[viol, None]).sum(axis=0) / n
-        gb = -float(y[viol].sum()) / n
-        step = lr / np.sqrt(t)
-        w -= step * gw
-        b -= step * gb
-    w_raw = w / sd
-    return w_raw, b - float(w_raw @ mu)
+    Xs = np.column_stack([(X - mu) / sd, np.ones(n)])  # last column: the bias
+    reg = np.full(d + 1, 2.0 * lam)
+    reg[d] = 0.0  # the bias is unregularized
+    W = np.zeros((T.shape[1], d + 1))
+    for step in lr / np.sqrt(np.arange(1.0, _HINGE_STEPS + 1)):
+        V = np.where(T * (Xs @ W.T) < 1.0, T, 0.0)  # targets of violating rows
+        G = W * reg
+        G -= (V.T @ Xs) / n
+        W -= step * G
+    W_raw = W[:, :d] / sd
+    return W_raw, W[:, d] - W_raw @ mu
 
 
-def _category_hinge_rows(Y: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, 1.0 - Y * scores).sum(axis=1)
+def _flip_bits(B: np.ndarray, Wc: np.ndarray, bc: np.ndarray, Y: np.ndarray):
+    # greedy pass over the bits of every row: flip B[i, ki] in place when the
+    # flip strictly lowers row i's one-vs-rest hinge loss.  A flip in row i
+    # touches only scores[i] and loss_rows[i], so sweeping the bits with all
+    # rows at once keeps each row's sequential, bit-order semantics.
+    scores = B @ Wc.T + bc  # (n, c)
+    loss_rows = np.maximum(0.0, 1.0 - Y * scores).sum(axis=1)
+    total_before = loss_rows.sum()
+    for ki in range(B.shape[1]):
+        delta = -2.0 * B[:, ki, None] * Wc[:, ki]
+        flipped = np.maximum(0.0, 1.0 - Y * (scores + delta)).sum(axis=1)
+        flip = flipped < loss_rows - 1e-12
+        B[flip, ki] = -B[flip, ki]
+        scores[flip] += delta[flip]
+        loss_rows[flip] = flipped[flip]
+    assert loss_rows.sum() <= total_before + 1e-9, "flip phase raised the loss"
+    return scores, loss_rows
 
 
 def train_mmc(
@@ -370,37 +383,18 @@ def train_mmc(
             f"{classes.shape[0]} classes, got {F.shape[0]}"
         )
     hp = hyperparams or MmcHyperparams()
-    n, d = F.shape
+    d = F.shape[1]
     k = bits
-    c = classes.shape[0]
 
     init = train_lsh(d, k, seed)
     B = np.where(F @ init.hyperplanes.T >= 0.0, 1.0, -1.0)  # (n, k) working codes
     Y = np.where(y[:, None] == classes[None, :], 1.0, -1.0)  # (n, c) one-vs-rest
 
-    H = np.zeros((k, d + 1))
+    H = np.empty((k, d + 1))
     for _ in range(hp.epochs):
-        Wc = np.empty((c, k))
-        bc = np.empty(c)
-        for ci in range(c):
-            Wc[ci], bc[ci] = _fit_hinge(B, Y[:, ci], hp.regularization, hp.learning_rate)
-        for ki in range(k):
-            w, b0 = _fit_hinge(F, B[:, ki], hp.regularization, hp.learning_rate)
-            H[ki, :d] = w
-            H[ki, d] = b0
-
-        scores = B @ Wc.T + bc  # (n, c)
-        loss_rows = _category_hinge_rows(Y, scores)
-        total_before = loss_rows.sum()
-        for i in range(n):
-            for ki in range(k):
-                delta = -2.0 * B[i, ki] * Wc[:, ki]
-                flipped = np.maximum(0.0, 1.0 - Y[i] * (scores[i] + delta)).sum()
-                if flipped < loss_rows[i] - 1e-12:
-                    B[i, ki] = -B[i, ki]
-                    scores[i] += delta
-                    loss_rows[i] = flipped
-        assert loss_rows.sum() <= total_before + 1e-9, "flip phase raised the loss"
+        Wc, bc = _fit_hinge(B, Y, hp.regularization, hp.learning_rate)
+        H[:, :d], H[:, d] = _fit_hinge(F, B, hp.regularization, hp.learning_rate)
+        _flip_bits(B, Wc, bc, Y)
 
     return MmcModel(
         hyperplanes=H, classes=classes, dims=d, bits=k, seed=seed, hyperparams=hp

@@ -10,6 +10,7 @@ fraction of emitted (item, keyword) pairs a human judged suitable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -184,16 +185,27 @@ def generate_keywords(Z, names: NamingTable, item_ids=None) -> KeywordReport:
     groups = _group_by_name(names)
     vocabulary = tuple(surface for _, surface, _ in groups.values())
 
-    items: dict[str, tuple[str, ...]] = {}
-    for i, item in enumerate(item_ids):
-        # a concept fires when any bit carrying its name is positive, so the
-        # emission is identical whether or not duplicates were merged first
-        items[item] = tuple(
-            surface
-            for _, surface, members in groups.values()
-            if (Z[i, members] == 1).any()
-        )
+    # a concept fires when any bit carrying its name is positive, so the
+    # emission is identical whether or not duplicates were merged first
+    fires = np.zeros((n, len(vocabulary)), dtype=bool)
+    for g, (_, _, members) in enumerate(groups.values()):
+        fires[:, g] = (Z[:, members] == 1).any(axis=1)
+    items = {
+        item: tuple(compress(vocabulary, row))
+        for item, row in zip(item_ids, fires.tolist())
+    }
     return KeywordReport(items=items, vocabulary=vocabulary)
+
+
+def _precision_by(keys, keyed_hits) -> dict:
+    # one pass over (key, hit) pairs; keys with no pair map to None, and
+    # pairs whose key is not listed count toward no slice
+    counts = {key: [0, 0] for key in keys}  # key -> [hits, pairs]
+    for key, hit in keyed_hits:
+        if key in counts:
+            counts[key][0] += hit
+            counts[key][1] += 1
+    return {key: hit / total if total else None for key, (hit, total) in counts.items()}
 
 
 def evaluate_hit_rate(report: KeywordReport, truth: TruthTable) -> HitRateReport:
@@ -209,36 +221,31 @@ def evaluate_hit_rate(report: KeywordReport, truth: TruthTable) -> HitRateReport
         for item, keywords in report.items.items()
         for keyword in keywords
     ]
-    missing = [pair for pair in pairs if pair not in truth.judgments]
+    hits = [truth.judgments.get(pair) for pair in pairs]
+    missing = [pair for pair, hit in zip(pairs, hits) if hit is None]
     if missing:
         listing = ", ".join(f"({item!r}, {kw!r})" for item, kw in missing[:10])
         suffix = "" if len(missing) <= 10 else f" and {len(missing) - 10} more"
         raise ValueError(f"missing suitability judgments for: {listing}{suffix}")
 
     emitted = len(pairs)
-    suitable = sum(truth.judgments[pair] for pair in pairs)
+    suitable = sum(hits)
     overall = suitable / emitted if emitted else None
-
-    per_keyword: dict[str, float | None] = {}
-    for word in report.vocabulary:
-        hits = [truth.judgments[p] for p in pairs if p[1] == word]
-        per_keyword[word] = sum(hits) / len(hits) if hits else None
+    per_keyword = _precision_by(
+        report.vocabulary, ((keyword, hit) for (_, keyword), hit in zip(pairs, hits))
+    )
 
     per_action: dict[str, float | None] | None = None
     if truth.actions is not None:
-        per_action = {}
         unmapped = sorted(set(report.items) - set(truth.actions))
         if unmapped:
             raise ValueError(
                 f"items missing from the action table: {', '.join(unmapped[:10])}"
             )
-        for action in sorted(set(truth.actions.values())):
-            hits = [
-                truth.judgments[p]
-                for p in pairs
-                if truth.actions[p[0]] == action
-            ]
-            per_action[action] = sum(hits) / len(hits) if hits else None
+        per_action = _precision_by(
+            sorted(set(truth.actions.values())),
+            ((truth.actions[item], hit) for (item, _), hit in zip(pairs, hits)),
+        )
 
     return HitRateReport(
         overall=overall,

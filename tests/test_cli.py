@@ -104,6 +104,24 @@ def test_discover_mmc_requires_labels(tmp_path, features_csv, capsys):
     assert "--labels" in capsys.readouterr().err
 
 
+def test_discover_label_count_mismatch_names_the_labels_file(
+    tmp_path, features_csv, capsys
+):
+    labels = _write(tmp_path / "short.csv", "0\n1\n" * 10)
+    rc = main(
+        [
+            "discover", "--method", "mmc", "--bits", "2",
+            "--features", features_csv, "--labels", labels,
+            "--model-out", str(tmp_path / "m.json"),
+            "--codes-out", str(tmp_path / "z.csv"),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert labels in err and "20 labels" in err and "40 feature rows" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_discover_lift_and_pca_flags(tmp_path, features_csv):
     rc = main(
         [
@@ -356,6 +374,54 @@ def test_failure_after_first_output_is_written_leaves_no_output(
     assert _left_behind(tmp_path, [meaningful_csv]) == []
 
 
+_VALID_MODELS = {
+    "lsh": {
+        "type": "lsh", "dims": 3, "bits": 2, "seed": 0,
+        "payload": {"hyperplanes": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+    },
+    "sh": {
+        "type": "sh", "dims": 2, "bits": 2, "seed": None,
+        "payload": {
+            "pca": {
+                "mean": [0.5, 0.5],
+                "basis": [[1.0], [0.0]],
+                "explained_variance": [0.1],
+            },
+            "ranges": [[-0.5, 0.5]],
+            "modes": [[0, 1], [0, 2]],
+            "eigenvalues": [0.9, 0.6],
+        },
+    },
+    "mmc": {
+        "type": "mmc", "dims": 2, "bits": 1, "seed": 0,
+        "payload": {
+            "hyperplanes": [[1.0, -1.0, 0.5]],
+            "classes": [0, 1],
+            "hyperparams": {"regularization": 1e-4, "epochs": 1, "learning_rate": 0.1},
+        },
+    },
+}
+
+
+def _model_doc(kind, field=None, value=None):
+    # a copy of the valid document for `kind`, with payload field
+    # `field` (dotted path) set to `value`
+    doc = json.loads(json.dumps(_VALID_MODELS[kind]))
+    if field is not None:
+        *parents, leaf = field.split(".")
+        target = doc["payload"]
+        for name in parents:
+            target = target[name]
+        target[leaf] = value
+    return doc
+
+
+def test_valid_model_documents_encode():
+    for kind in _VALID_MODELS:
+        model = model_from_dict(_model_doc(kind))
+        assert encode(model, np.full((2, model.dims), 0.3)).shape == (2, model.bits)
+
+
 @pytest.mark.parametrize(
     "doc, match",
     [
@@ -369,6 +435,21 @@ def test_failure_after_first_output_is_written_leaves_no_output(
         ({"type": "mmc", "payload": []}, "mistyped"),
         ({"type": "pq"}, "unknown model type"),
         (["lsh"], "JSON object"),
+        # arrays whose shapes do not fit dims and bits
+        (_model_doc("lsh", "hyperplanes", [[1.0, 0.0], [0.0, 1.0]]),
+         r"'hyperplanes' has shape \(2, 2\), expected \(2, 3\)"),
+        (_model_doc("lsh", "hyperplanes", [1.0, 0.0, 0.0]), "'hyperplanes' has shape"),
+        (_model_doc("mmc", "hyperplanes", [[1.0, -1.0]]),
+         r"expected \(1, 3\)"),
+        (_model_doc("mmc", "classes", [0]), "at least 2 classes"),
+        (_model_doc("mmc", "classes", [[0, 1]]), "at least 2 classes"),
+        (_model_doc("sh", "pca.mean", [0.5, 0.5, 0.5]), r"'pca.mean' has shape \(3,\)"),
+        (_model_doc("sh", "pca.basis", [[1.0]]), r"'pca.basis' has shape \(1, 1\)"),
+        (_model_doc("sh", "pca.explained_variance", []), "'pca.explained_variance'"),
+        (_model_doc("sh", "ranges", [[-0.5, 0.0, 0.5]]), "'ranges' has shape"),
+        (_model_doc("sh", "modes", [[0, 1]]), r"'modes' has shape \(1, 2\)"),
+        (_model_doc("sh", "eigenvalues", [0.9]), "'eigenvalues' has shape"),
+        (_model_doc("sh", "modes", [[0, 1], [3, 1]]), "direction outside"),
     ],
 )
 def test_model_from_dict_rejects_malformed_documents(doc, match):

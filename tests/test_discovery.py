@@ -14,6 +14,7 @@ from attrmeaning import (
     train_mmc,
     train_sh,
 )
+from attrmeaning.discovery import _fit_hinge, _flip_bits
 
 # ---------------------------------------------------------------------------
 # intersection-kernel lift
@@ -277,3 +278,149 @@ def test_encode_checks_feature_width():
     model = train_lsh(4, 2, seed=0)
     with pytest.raises(ValueError, match="width"):
         encode(model, np.ones((3, 5)))
+
+
+# ---------------------------------------------------------------------------
+# max-margin coder: batched training against the per-fit trainer it replaced
+
+
+def _fit_hinge_one(X, y, lam, lr):
+    # reference: one hinge fit at a time, as the coder trained before its
+    # fits were batched
+    n, d = X.shape
+    mu = X.mean(axis=0)
+    sd = X.std(axis=0)
+    sd[sd == 0.0] = 1.0
+    Xs = (X - mu) / sd
+    w = np.zeros(d)
+    b = 0.0
+    for t in range(1, 301):
+        margins = y * (Xs @ w + b)
+        viol = margins < 1.0
+        gw = 2.0 * lam * w
+        if viol.any():
+            gw -= (Xs[viol] * y[viol, None]).sum(axis=0) / n
+        gb = -float(y[viol].sum()) / n
+        step = lr / np.sqrt(t)
+        w -= step * gw
+        b -= step * gb
+    w_raw = w / sd
+    return w_raw, b - float(w_raw @ mu)
+
+
+def _flip_bits_row_major(B, Wc, bc, Y):
+    # reference: the greedy flip phase as a row-major double loop
+    scores = B @ Wc.T + bc
+    loss_rows = np.maximum(0.0, 1.0 - Y * scores).sum(axis=1)
+    for i in range(B.shape[0]):
+        for ki in range(B.shape[1]):
+            delta = -2.0 * B[i, ki] * Wc[:, ki]
+            flipped = np.maximum(0.0, 1.0 - Y[i] * (scores[i] + delta)).sum()
+            if flipped < loss_rows[i] - 1e-12:
+                B[i, ki] = -B[i, ki]
+                scores[i] += delta
+                loss_rows[i] = flipped
+    return scores, loss_rows
+
+
+def _train_mmc_per_fit(F, y, bits, seed, lam=1e-4, epochs=20, lr=0.1):
+    # reference: the coder with one hinge fit per class and per bit
+    classes = np.unique(y)
+    d = F.shape[1]
+    B = np.where(F @ train_lsh(d, bits, seed).hyperplanes.T >= 0.0, 1.0, -1.0)
+    Y = np.where(y[:, None] == classes[None, :], 1.0, -1.0)
+    H = np.zeros((bits, d + 1))
+    for _ in range(epochs):
+        Wc = np.empty((classes.shape[0], bits))
+        bc = np.empty(classes.shape[0])
+        for ci in range(classes.shape[0]):
+            Wc[ci], bc[ci] = _fit_hinge_one(B, Y[:, ci], lam, lr)
+        for ki in range(bits):
+            H[ki, :d], H[ki, d] = _fit_hinge_one(F, B[:, ki], lam, lr)
+        _flip_bits_row_major(B, Wc, bc, Y)
+    return H
+
+
+def _assert_rel_close(got, want, rtol):
+    scale = np.maximum(np.abs(want), 1.0)
+    assert (np.abs(got - want) / scale).max() <= rtol
+
+
+def _hinge_fixture(label):
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(60, 5))
+    T = np.where(X[:, :4] + 0.5 * rng.normal(size=(60, 4)) >= 0.0, 1.0, -1.0)
+    if label == "one column":
+        return X, T[:, :1], 0.1
+    if label == "all violating":
+        # a step this small keeps every margin below 1 for all 300 steps
+        return X, T, 1e-4
+    if label == "constant feature":
+        X[:, 2] = 3.5  # zero spread: standardized by 1, not by 0
+    return X, T, 0.1
+
+
+@pytest.mark.parametrize(
+    "label", ["one column", "several columns", "all violating", "constant feature"]
+)
+def test_batched_hinge_matches_per_fit_loop(label):
+    X, T, lr = _hinge_fixture(label)
+    W, b = _fit_hinge(X, T, 1e-4, lr)
+    assert W.shape == (T.shape[1], X.shape[1]) and b.shape == (T.shape[1],)
+    for j in range(T.shape[1]):
+        w_ref, b_ref = _fit_hinge_one(X, T[:, j], 1e-4, lr)
+        _assert_rel_close(W[j], w_ref, 1e-12)
+        _assert_rel_close(b[j], b_ref, 1e-12)
+    if label == "all violating":
+        assert (T * (X @ W.T + b) < 1.0).all()
+
+
+def test_vectorised_flip_phase_equals_row_major_loop():
+    rng = np.random.default_rng(22)
+    n, k, c = 80, 6, 3
+    B = np.where(rng.random((n, k)) < 0.5, 1.0, -1.0)
+    Wc = rng.normal(size=(c, k))
+    bc = rng.normal(size=c)
+    Y = np.where(rng.integers(0, c, size=n)[:, None] == np.arange(c), 1.0, -1.0)
+    B_start = B.copy()
+    B_ref = B.copy()
+    scores_ref, loss_ref = _flip_bits_row_major(B_ref, Wc, bc, Y)
+    scores, loss = _flip_bits(B, Wc, bc, Y)
+    assert (B != B_start).any(axis=1).sum() > n // 2  # most rows flip a bit
+    assert np.array_equal(B, B_ref)
+    assert np.array_equal(scores, scores_ref)
+    assert np.array_equal(loss, loss_ref)
+
+
+def _mmc_fixtures():
+    # every MMC input the suite trains on: the blobs above and criterion 7's
+    # 500 x 4 uniform features and blobs
+    cases = [pytest.param(*_blobs(seed=s), 2, s, id=f"blobs-{s}") for s in range(5)]
+    cases += [pytest.param(*_blobs(seed=13), 4, s, id=f"blobs13-{s}") for s in (3, 4)]
+    rng = np.random.default_rng(31)
+    F = rng.uniform(0.0, 1.0, size=(500, 4))
+    y2 = (F[:, 0] + F[:, 1] > 1.0).astype(int)
+    cases += [
+        pytest.param(F, y2, 6, 0, id="uniform500-0"),
+        pytest.param(F, y2, 4, 9, id="uniform500-9"),
+    ]
+    for seed in range(3):
+        rng3 = np.random.default_rng(100 + seed)
+        blob = np.concatenate(
+            [
+                [-2.0, -2.0] + 0.3 * rng3.normal(size=(50, 2)),
+                [2.0, 2.0] + 0.3 * rng3.normal(size=(50, 2)),
+            ]
+        )
+        yb = np.repeat([0, 1], 50)
+        cases.append(pytest.param(blob, yb, 2, seed, id=f"blobs10{seed}-{seed}"))
+    return cases
+
+
+@pytest.mark.parametrize("F, y, bits, seed", _mmc_fixtures())
+def test_mmc_codes_match_per_fit_trainer(F, y, bits, seed):
+    model = train_mmc(F, y, bits=bits, seed=seed)
+    H_ref = _train_mmc_per_fit(F, y, bits, seed)
+    _assert_rel_close(model.hyperplanes, H_ref, 1e-12)
+    Z_ref = np.where(F @ H_ref[:, :-1].T + H_ref[:, -1] >= 0.0, 1, -1)
+    assert np.array_equal(encode(model, F), Z_ref)

@@ -160,14 +160,16 @@ def test_hit_rate_with_no_emissions():
 
 def test_hit_rate_per_action():
     report = KeywordReport(
-        items={"a": ("x",), "b": ("x",), "c": ("x",)}, vocabulary=("x",)
+        items={"a": ("x",), "b": ("x",), "c": ("x",), "d": ()}, vocabulary=("x",)
     )
     truth = TruthTable(
         judgments={("a", "x"): 1, ("b", "x"): 0, ("c", "x"): 1},
-        actions={"a": "walk", "b": "walk", "c": "run"},
+        actions={"a": "walk", "b": "walk", "c": "run", "d": "sit"},
     )
     rates = evaluate_hit_rate(report, truth)
-    assert rates.per_action == {"walk": pytest.approx(1 / 2), "run": 1.0}
+    # an action whose items emitted nothing has no precision, not 0
+    assert rates.per_action == {"walk": pytest.approx(1 / 2), "run": 1.0, "sit": None}
+    assert list(rates.per_action) == ["run", "sit", "walk"]
     # every report item must carry an action
     bad = TruthTable(judgments=truth.judgments, actions={"a": "walk"})
     with pytest.raises(ValueError, match="action table"):
