@@ -6,7 +6,7 @@ files.  Formats:
 
 * matrix CSV: UTF-8, comma-separated, no header, one row per instance;
   feature files hold decimal reals, attribute/code files hold only the
-  tokens ``1`` and ``-1``;
+  tokens ``1`` and ``-1``; a label file holds one integer per line;
 * naming CSV: header ``bit,positive_name`` (empty name = unnameable bit);
 * truth CSV: header ``item_id,keyword,suitable`` with suitable in {0, 1};
   optional actions CSV ``item_id,action``;
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import os
 import sys
@@ -74,132 +75,139 @@ class InputFormatError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# readers (line/field positions are 1-based, as in editors)
+# readers (line/field positions are 1-based and count blank lines, as in editors)
 
 
-def _read_lines(path):
+def _read_text(path) -> str:
+    # newline="" keeps line ends as written, so csv sees quoted newlines
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
     except OSError as exc:
         raise InputFormatError(f"{path}: {exc.strerror or exc}") from exc
-    lines = [line for line in lines if line.strip()]
-    if not lines:
+
+
+def _put(target, fields, tokens) -> None:
+    # numpy converts each string with Python's float()/int(); ``tokens``,
+    # when given, is the whole set of values a field may hold once stripped
+    if tokens is not None and not (
+        tokens.issuperset(fields) or tokens.issuperset(map(str.strip, fields))
+    ):
+        raise ValueError("token outside the allowed set")
+    target[:] = fields
+
+
+def _read_matrix(path, dtype, bad_token, width=None, tokens=None) -> np.ndarray:
+    """Headerless comma-separated matrix: one row per non-blank line.
+
+    Every row has ``width`` fields (default: as many as the first row) and
+    is converted whole; only a row that fails is scanned field by field,
+    under the same rule, to name the first bad field with ``bad_token``
+    (formatted with ``line``, ``field`` and ``token``).  Float values must
+    be finite.
+    """
+    lines = _read_text(path).splitlines()
+    numbers = [ln for ln, line in enumerate(lines, start=1) if line.strip()]
+    if not numbers:
         raise InputFormatError(f"{path}: file is empty")
-    return lines
+    width = width or lines[numbers[0] - 1].count(",") + 1
+    M = np.empty((len(numbers), width), dtype=dtype)
+    for row, ln in enumerate(numbers):
+        fields = lines[ln - 1].split(",")
+        if len(fields) != width:
+            raise InputFormatError(
+                f"{path}: line {ln} has {len(fields)} fields, expected {width}"
+            )
+        try:
+            _put(M[row], fields, tokens)
+        except ValueError:
+            for col, tok in enumerate(fields):
+                try:
+                    _put(M[row, col : col + 1], [tok], tokens)
+                except ValueError:
+                    message = bad_token.format(line=ln, field=col + 1, token=tok.strip())
+                    raise InputFormatError(f"{path}: {message}") from None
+    if M.dtype.kind == "f" and not np.isfinite(M).all():
+        row, col = np.argwhere(~np.isfinite(M))[0]
+        raise InputFormatError(
+            f"{path}: line {numbers[row]}, field {col + 1}: non-finite value"
+        )
+    return M
 
 
 def read_feature_csv(path) -> np.ndarray:
     """Headerless CSV of decimal reals, one instance per row."""
-    lines = _read_lines(path)
-    rows = []
-    width = None
-    for ln, line in enumerate(lines, start=1):
-        fields = line.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise InputFormatError(
-                f"{path}: line {ln} has {len(fields)} fields, expected {width}"
-            )
-        row = []
-        for fn, tok in enumerate(fields, start=1):
-            try:
-                row.append(float(tok.strip()))
-            except ValueError:
-                raise InputFormatError(
-                    f"{path}: line {ln}, field {fn}: {tok.strip()!r} is not a number"
-                ) from None
-        rows.append(row)
-    F = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(F).all():
-        bad = np.argwhere(~np.isfinite(F))[0]
-        raise InputFormatError(
-            f"{path}: line {bad[0] + 1}, field {bad[1] + 1}: non-finite value"
-        )
-    return F
+    return _read_matrix(
+        path, np.float64, "line {line}, field {field}: {token!r} is not a number"
+    )
+
+
+_ATTRIBUTE_TOKENS = frozenset(("1", "-1"))
 
 
 def read_attribute_csv(path) -> np.ndarray:
     """Headerless CSV whose only tokens are 1 and -1."""
-    lines = _read_lines(path)
-    rows = []
-    width = None
-    for ln, line in enumerate(lines, start=1):
-        fields = line.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise InputFormatError(
-                f"{path}: line {ln} has {len(fields)} fields, expected {width}"
-            )
-        row = []
-        for fn, tok in enumerate(fields, start=1):
-            tok = tok.strip()
-            if tok == "1":
-                row.append(1)
-            elif tok == "-1":
-                row.append(-1)
-            else:
-                raise InputFormatError(
-                    f"{path}: line {ln}, field {fn}: {tok!r} is not an "
-                    f"attribute token (expected 1 or -1)"
-                )
-        rows.append(row)
-    return np.asarray(rows, dtype=np.int8)
+    return _read_matrix(
+        path,
+        np.int8,
+        "line {line}, field {field}: {token!r} is not an attribute token "
+        "(expected 1 or -1)",
+        tokens=_ATTRIBUTE_TOKENS,
+    )
 
 
 def read_label_csv(path) -> np.ndarray:
     """One integer class label per line."""
-    lines = _read_lines(path)
-    labels = []
-    for ln, line in enumerate(lines, start=1):
-        tok = line.split(",")[0].strip()
-        try:
-            labels.append(int(tok))
-        except ValueError:
+    return _read_matrix(
+        path, np.int64, "line {line}: {token!r} is not an integer label", width=1
+    ).reshape(-1)
+
+
+def _read_table(path, header):
+    """Yield ``(line, fields)`` for each data row of a CSV file with ``header``.
+
+    Fields are stripped and blank rows skipped; ``line`` is the line on
+    which the row ends, so a quoted newline inside a field counts.
+    """
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    expected = list(header)
+    has_header = False
+    for row in reader:
+        fields = [field.strip() for field in row]
+        if not any(fields):
+            continue
+        if not has_header:
+            if fields != expected:
+                raise InputFormatError(
+                    f"{path}: expected header {','.join(header)!r}, "
+                    f"got {','.join(fields)!r}"
+                )
+            has_header = True
+        elif len(fields) != len(header):
             raise InputFormatError(
-                f"{path}: line {ln}: {tok!r} is not an integer label"
-            ) from None
-    return np.asarray(labels, dtype=np.int64)
-
-
-def _read_csv_with_header(path, header):
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputFormatError(f"{path}: {exc.strerror or exc}") from exc
-    rows = [row for row in rows if any(field.strip() for field in row)]
-    if not rows:
+                f"{path}: line {reader.line_num} has {len(fields)} fields, "
+                f"expected {len(header)}"
+            )
+        else:
+            yield reader.line_num, fields
+    if not has_header:
         raise InputFormatError(f"{path}: file is empty")
-    got = [field.strip() for field in rows[0]]
-    if got != list(header):
-        raise InputFormatError(
-            f"{path}: expected header {','.join(header)!r}, got {','.join(got)!r}"
-        )
-    return rows[1:]
 
 
 def read_naming_csv(path) -> NamingTable:
     """``bit,positive_name`` table; empty names mark unnameable bits."""
     entries = {}
     seen = set()
-    for ln, row in enumerate(_read_csv_with_header(path, ("bit", "positive_name")), start=2):
-        if len(row) != 2:
-            raise InputFormatError(
-                f"{path}: line {ln} has {len(row)} fields, expected 2"
-            )
+    for ln, (bit_text, name) in _read_table(path, ("bit", "positive_name")):
         try:
-            bit = int(row[0].strip())
+            bit = int(bit_text)
         except ValueError:
             raise InputFormatError(
-                f"{path}: line {ln}: {row[0].strip()!r} is not a bit index"
+                f"{path}: line {ln}: {bit_text!r} is not a bit index"
             ) from None
         if bit in seen:
             raise InputFormatError(f"{path}: line {ln}: bit {bit} listed twice")
         seen.add(bit)
-        name = row[1].strip()
         if name:
             entries[bit] = name
     try:
@@ -211,14 +219,9 @@ def read_naming_csv(path) -> NamingTable:
 def read_truth_csv(path, actions_path=None) -> TruthTable:
     """``item_id,keyword,suitable`` judgments, optionally with an action table."""
     judgments = {}
-    for ln, row in enumerate(
-        _read_csv_with_header(path, ("item_id", "keyword", "suitable")), start=2
+    for ln, (item, keyword, tok) in _read_table(
+        path, ("item_id", "keyword", "suitable")
     ):
-        if len(row) != 3:
-            raise InputFormatError(
-                f"{path}: line {ln} has {len(row)} fields, expected 3"
-            )
-        item, keyword, tok = row[0].strip(), row[1].strip(), row[2].strip()
         if tok not in ("0", "1"):
             raise InputFormatError(
                 f"{path}: line {ln}: suitable must be 0 or 1, got {tok!r}"
@@ -233,14 +236,7 @@ def read_truth_csv(path, actions_path=None) -> TruthTable:
     actions = None
     if actions_path is not None:
         actions = {}
-        for ln, row in enumerate(
-            _read_csv_with_header(actions_path, ("item_id", "action")), start=2
-        ):
-            if len(row) != 2:
-                raise InputFormatError(
-                    f"{actions_path}: line {ln} has {len(row)} fields, expected 2"
-                )
-            item, action = row[0].strip(), row[1].strip()
+        for ln, (item, action) in _read_table(actions_path, ("item_id", "action")):
             if item in actions:
                 raise InputFormatError(
                     f"{actions_path}: line {ln}: duplicate item {item!r}"
@@ -250,11 +246,9 @@ def read_truth_csv(path, actions_path=None) -> TruthTable:
 
 
 def read_keywords_json(path) -> KeywordReport:
+    text = _read_text(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"{path}: {exc.strerror or exc}") from exc
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
     try:
@@ -327,7 +321,8 @@ def _staged_outputs(*targets):
 
 def write_attribute_csv(path, Z) -> None:
     Z = as_attribute_matrix(Z)
-    lines = [",".join("1" if v == 1 else "-1" for v in row) for row in Z]
+    # one row's strings at a time: a whole-matrix tolist() holds a str per cell
+    lines = [",".join(row.tolist()) for row in np.where(Z == 1, "1", "-1")]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -785,10 +780,7 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (InputFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -408,29 +408,21 @@ def encode(model, F) -> np.ndarray:
     matching :func:`attrmeaning.attributes.binarize`.
     """
     F = as_feature_matrix(F)
+    if not isinstance(model, (LshModel, ShModel, MmcModel)):
+        raise TypeError(f"unknown coder model type: {type(model).__name__}")
+    if F.shape[1] != model.dims:
+        raise ValueError(
+            f"feature width {F.shape[1]} does not match model dims {model.dims}"
+        )
     if isinstance(model, LshModel):
-        if F.shape[1] != model.dims:
-            raise ValueError(
-                f"feature width {F.shape[1]} does not match model dims {model.dims}"
-            )
         resp = F @ model.hyperplanes.T
     elif isinstance(model, ShModel):
-        if F.shape[1] != model.dims:
-            raise ValueError(
-                f"feature width {F.shape[1]} does not match model dims {model.dims}"
-            )
         P = (F - model.pca.mean) @ model.pca.basis
         resp = np.empty((F.shape[0], model.bits))
         for col, (direction, k) in enumerate(model.modes):
             lo, hi = model.ranges[direction]
             t = (P[:, direction] - lo) / (hi - lo)
             resp[:, col] = np.sin(np.pi / 2.0 + k * np.pi * t)
-    elif isinstance(model, MmcModel):
-        if F.shape[1] != model.dims:
-            raise ValueError(
-                f"feature width {F.shape[1]} does not match model dims {model.dims}"
-            )
-        resp = F @ model.hyperplanes[:, :-1].T + model.hyperplanes[:, -1]
     else:
-        raise TypeError(f"unknown coder model type: {type(model).__name__}")
+        resp = F @ model.hyperplanes[:, :-1].T + model.hyperplanes[:, -1]
     return np.where(resp >= 0.0, 1, -1).astype(np.int8)

@@ -1,6 +1,9 @@
 """Command-line surface: formats, exit codes, and byte determinism."""
 
+import importlib.util
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +259,92 @@ def test_missing_file_exit_code(tmp_path, capsys):
         ]
     )
     assert rc == 3
+
+
+# (reader, file text, expected value or error fragment); positions are the
+# line numbers an editor shows, blank lines included
+_READER_CASES = [
+    ("read_attribute_csv", " 1 , -1 \n-1,1\n", [[1, -1], [-1, 1]]),
+    *(
+        ("read_attribute_csv", f"1,-1\n\n-1,{tok}\n",
+         f"line 3, field 2: {tok!r} is not an attribute token")
+        for tok in ("+1", "01", "1.0", "", "2")
+    ),
+    ("read_attribute_csv", "1,-1\n\n1\n", "line 3 has 1 fields, expected 2"),
+    ("read_feature_csv", "0.5, 1e3\n-2,3\n", [[0.5, 1000.0], [-2.0, 3.0]]),
+    ("read_feature_csv", "1,2\n\n3,nan\n", "line 3, field 2: non-finite value"),
+    ("read_feature_csv", "1,2\n\n\ninf,3\n", "line 4, field 1: non-finite value"),
+    ("read_feature_csv", "1,2\n\n3,x\n", "line 3, field 2: 'x' is not a number"),
+    ("read_label_csv", "1\n\n 2 \n", [1, 2]),
+    ("read_label_csv", "1\n\n1,7\n", "line 3 has 2 fields, expected 1"),
+    ("read_label_csv", "1\n\nb\n", "line 3: 'b' is not an integer label"),
+    ("read_naming_csv", 'bit,positive_name\n0,"red, shiny"\n', {0: "red, shiny"}),
+    ("read_naming_csv", "bit,positive_name\n0,red\n1,\n", {0: "red"}),
+    ("read_naming_csv", "bit,positive_name\n0,a\n\n1,b\n1,c\n",
+     "line 5: bit 1 listed twice"),
+    ("read_naming_csv", 'bit,positive_name\n0,"two\nlines"\n0,x\n',
+     "line 4: bit 0 listed twice"),
+    ("read_naming_csv", "bit,positive_name\n\n0,a,b\n", "line 3 has 3 fields, expected 2"),
+    ("read_truth_csv", "item_id,keyword,suitable\n0,a,1\n\n1,b,2\n",
+     "line 4: suitable must be 0 or 1, got '2'"),
+]
+
+
+@pytest.mark.parametrize("reader, text, expected", _READER_CASES)
+def test_readers_accept_and_reject(tmp_path, reader, text, expected):
+    path = _write(tmp_path / "in.csv", text)
+    if isinstance(expected, str):
+        with pytest.raises(InputFormatError, match=re.escape(expected)):
+            getattr(cli, reader)(path)
+        return
+    got = getattr(cli, reader)(path)
+    if isinstance(expected, dict):
+        assert got.entries == expected
+    else:
+        np.testing.assert_array_equal(got, np.asarray(expected))
+
+
+def test_label_with_extra_field_exits_three(tmp_path, features_csv, capsys):
+    labels = _write(tmp_path / "labels.csv", "0\n1,7\n" * 20)
+    rc = main(
+        [
+            "discover", "--method", "mmc", "--bits", "2",
+            "--features", features_csv, "--labels", labels,
+            "--model-out", str(tmp_path / "m.json"),
+            "--codes-out", str(tmp_path / "z.csv"),
+        ]
+    )
+    assert rc == 3
+    assert "line 2 has 2 fields, expected 1" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (7, 1), (40, 13)])
+def test_attribute_csv_round_trip(tmp_path, shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    Z = np.where(rng.random(shape) < 0.5, 1, -1).astype(np.int8)
+    path = tmp_path / "z.csv"
+    cli.write_attribute_csv(path, Z)
+    got = cli.read_attribute_csv(path)
+    assert got.dtype == np.int8
+    np.testing.assert_array_equal(got, Z)
+
+
+def test_attribute_csv_bytes(tmp_path):
+    path = tmp_path / "z.csv"
+    cli.write_attribute_csv(path, [[1, -1], [-1, 1]])
+    assert path.read_bytes() == b"1,-1\n-1,1\n"
+
+
+def test_benchmark_span_targets_exist():
+    # the benchmark's span recorder replaces these functions by name
+    spans_path = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, func, _layer, _counter in spans.WRAPS:
+        module = importlib.import_module(f"attrmeaning.{module_name}")
+        assert callable(getattr(module, func, None)), f"attrmeaning.{module_name}.{func}"
 
 
 def test_usage_errors_exit_two(tmp_path):
