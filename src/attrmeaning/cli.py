@@ -78,13 +78,21 @@ class InputFormatError(Exception):
 # readers (line/field positions are 1-based and count blank lines, as in editors)
 
 
-def _read_text(path) -> str:
-    # newline="" keeps line ends as written, so csv sees quoted newlines
+def _read_bytes(path) -> bytes:
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise InputFormatError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _read_text(path, data=None) -> str:
+    # ``data``: the file's bytes if already read; line ends stay as written
+    # (csv sees quoted newlines)
+    try:
+        return (_read_bytes(path) if data is None else data).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _put(target, fields, tokens) -> None:
@@ -97,16 +105,39 @@ def _put(target, fields, tokens) -> None:
     target[:] = fields
 
 
-def _read_matrix(path, dtype, bad_token, width=None, tokens=None) -> np.ndarray:
+def _load_canonical(data, dtype, charset, width, tokens):
+    # one np.loadtxt call for a file spelled only in ``charset``; None unless
+    # the result meets every rule of the line reader (within the attribute
+    # charset, |v| == 1 holds exactly for the tokens 1 and -1)
+    if data.translate(None, charset):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. loadtxt's "no data" warning
+            M = np.loadtxt(io.BytesIO(data), dtype, comments=None, delimiter=",", ndmin=2)
+    except (ValueError, OverflowError, Warning):
+        return None
+    valid = M.size and width in (None, M.shape[1]) and np.isfinite(M).all()
+    return M if valid and (tokens is None or (np.abs(M) == 1).all()) else None
+
+
+def _read_matrix(path, dtype, bad_token, charset, width=None, tokens=None) -> np.ndarray:
     """Headerless comma-separated matrix: one row per non-blank line.
 
-    Every row has ``width`` fields (default: as many as the first row) and
-    is converted whole; only a row that fails is scanned field by field,
-    under the same rule, to name the first bad field with ``bad_token``
+    A file spelled only in ``charset``'s bytes (as the CLI writes codes and
+    as ``str``/``repr`` spell numbers) is converted in one vectorised pass.
+    Any other file, or one that pass rejects, is read by line: every row
+    has ``width`` fields (default: as many as the first row) and is
+    converted whole; only a row that fails is scanned field by field, under
+    the same rule, to name the first bad field with ``bad_token``
     (formatted with ``line``, ``field`` and ``token``).  Float values must
-    be finite.
+    be finite.  Both ways give the same array or the same error.
     """
-    lines = _read_text(path).splitlines()
+    data = _read_bytes(path)
+    M = _load_canonical(data, dtype, charset, width, tokens)
+    if M is not None:
+        return M
+    lines = _read_text(path, data).splitlines()
     numbers = [ln for ln, line in enumerate(lines, start=1) if line.strip()]
     if not numbers:
         raise InputFormatError(f"{path}: file is empty")
@@ -138,7 +169,8 @@ def _read_matrix(path, dtype, bad_token, width=None, tokens=None) -> np.ndarray:
 def read_feature_csv(path) -> np.ndarray:
     """Headerless CSV of decimal reals, one instance per row."""
     return _read_matrix(
-        path, np.float64, "line {line}, field {field}: {token!r} is not a number"
+        path, np.float64, "line {line}, field {field}: {token!r} is not a number",
+        b"0123456789+-.eE,\n",
     )
 
 
@@ -152,6 +184,7 @@ def read_attribute_csv(path) -> np.ndarray:
         np.int8,
         "line {line}, field {field}: {token!r} is not an attribute token "
         "(expected 1 or -1)",
+        b"1-,\n",
         tokens=_ATTRIBUTE_TOKENS,
     )
 
@@ -159,7 +192,8 @@ def read_attribute_csv(path) -> np.ndarray:
 def read_label_csv(path) -> np.ndarray:
     """One integer class label per line."""
     return _read_matrix(
-        path, np.int64, "line {line}: {token!r} is not an integer label", width=1
+        path, np.int64, "line {line}: {token!r} is not an integer label",
+        b"0123456789-,\n", width=1,
     ).reshape(-1)
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,176 @@ def test_readers_accept_and_reject(tmp_path, reader, text, expected):
         assert got.entries == expected
     else:
         np.testing.assert_array_equal(got, np.asarray(expected))
+
+
+_MATRIX_READERS = ("read_attribute_csv", "read_feature_csv", "read_label_csv")
+
+
+def _read_outcome(reader, path):
+    try:
+        M = getattr(cli, reader)(path)
+    except (InputFormatError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    return M.dtype, M.shape, M.flags.c_contiguous, M.tobytes()
+
+
+def _both_paths(monkeypatch, reader, path):
+    whole_file = _read_outcome(reader, path)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_load_canonical", lambda *args: None)
+        by_line = _read_outcome(reader, path)
+    return whole_file, by_line
+
+
+def _canonical_texts(seed):
+    # (reader, text): seeded matrices in every layout the line reader allows
+    rng = np.random.default_rng(seed)
+    for shape in [(1, 1), (1, 6), (7, 1), (9, 4)]:
+        Z = np.where(rng.random(shape) < 0.5, 1, -1)
+        mantissa = rng.standard_normal(shape)
+        F = mantissa * 10.0 ** rng.integers(-30, 30, size=shape)
+        rows = {
+            "read_attribute_csv": [",".join(map(str, r)) for r in Z.tolist()],
+            "read_feature_csv": [",".join(map(repr, r)) for r in F.tolist()],
+            "read_label_csv": [str(v) for v in rng.integers(-50, 50, size=shape[0])],
+        }
+        for reader, lines in rows.items():
+            yield reader, "\n".join(lines) + "\n"
+            yield reader, "\n".join(lines)
+            yield reader, "\n\n".join(lines) + "\n\n"
+            yield reader, "\n" + "\n\n\n".join(lines)
+    yield "read_feature_csv", "-0,0\n1e5,-2.5E-3\n+4,.5\n5.,1e+2\n"
+    yield "read_feature_csv", "5e-324,1.7976931348623157e308\n"
+    yield "read_label_csv", "-0\n007\n-12\n"
+    yield "read_feature_csv", "1,2\n\n3,1e999\n"
+    yield "read_feature_csv", "1,-1e999\n"
+    yield "read_label_csv", "99999999999999999999\n"
+    yield "read_attribute_csv", "1111,1\n"
+    yield "read_label_csv", "\n\n"
+    yield "read_attribute_csv", ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_whole_file_read_matches_line_reader(tmp_path, monkeypatch, seed):
+    path = tmp_path / "in.csv"
+    for reader, text in _canonical_texts(seed):
+        path.write_bytes(text.encode())
+        whole_file, by_line = _both_paths(monkeypatch, reader, str(path))
+        assert whole_file == by_line, (reader, text)
+    path.write_bytes(b"1,2\n\n3,1e999\n")
+    with pytest.raises(InputFormatError, match="line 3, field 2: non-finite value"):
+        cli.read_feature_csv(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        ("read_attribute_csv", b"1,-1\n-1,1\n"),
+        ("read_feature_csv", b"-0,1.5e-3\n20,+.5\n"),
+        ("read_label_csv", b"3\n-12\n"),
+    ],
+)
+def test_every_byte_mutation_reads_alike(tmp_path, monkeypatch, reader, text):
+    # every substitution, deletion and insertion of one byte: both paths must
+    # give the same array or the same error text
+    path = tmp_path / "in.csv"
+    mutants = {text[:i] + text[i + 1 :] for i in range(len(text))}
+    for i in range(len(text) + 1):
+        for byte in range(256):
+            mutants.add(text[:i] + bytes([byte]) + text[i + 1 :])
+            mutants.add(text[:i] + bytes([byte]) + text[i:])
+    load, whole_file_reads = cli._load_canonical, []
+
+    def counted(*args):
+        whole_file_reads.append(load(*args))
+        return whole_file_reads[-1]
+
+    monkeypatch.setattr(cli, "_load_canonical", counted)
+    for mutant in sorted(mutants):
+        path.write_bytes(mutant)
+        whole_file, by_line = _both_paths(monkeypatch, reader, str(path))
+        assert whole_file == by_line, mutant
+    # the mutants exercise the whole-file path, not only the line reader
+    assert sum(M is not None for M in whole_file_reads) > 5
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "\n"])
+def test_blank_matrix_file_warns_nothing(tmp_path, text):
+    path = _write(tmp_path / "blank.csv", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for reader in _MATRIX_READERS:
+            with pytest.raises(InputFormatError, match="file is empty"):
+                getattr(cli, reader)(path)
+    assert caught == []
+
+
+def test_written_and_benchmark_files_take_the_whole_file_path(tmp_path, monkeypatch):
+    # the per-field converter is never reached for the canonical files the
+    # CLI and the benchmark write, so they cannot fall back to the slow reader
+    rng = np.random.default_rng(5)
+    Z = np.where(rng.random((30, 7)) < 0.5, 1, -1)
+    cli.write_attribute_csv(tmp_path / "codes.csv", Z)
+    F = rng.integers(-20, 40, size=(30, 6))
+    y = rng.integers(0, 4, size=30)
+    # perfbench's write_matrix: str() of int64 cells, "\n" after every row
+    for name, M in (("features.csv", F), ("labels.csv", y[:, None])):
+        text = "\n".join(",".join(map(str, row)) for row in M.tolist()) + "\n"
+        _write(tmp_path / name, text)
+
+    def no_per_field(*args):
+        raise AssertionError("the per-field reader was used")
+
+    monkeypatch.setattr(cli, "_put", no_per_field)
+    np.testing.assert_array_equal(cli.read_attribute_csv(tmp_path / "codes.csv"), Z)
+    np.testing.assert_array_equal(cli.read_feature_csv(tmp_path / "features.csv"), F)
+    np.testing.assert_array_equal(cli.read_label_csv(tmp_path / "labels.csv"), y)
+
+    codes = tmp_path / "lsh_codes.csv"
+    rc = main(
+        [
+            "discover", "--method", "lsh", "--bits", "5",
+            "--features", str(tmp_path / "features.csv"),
+            "--model-out", str(tmp_path / "m.json"), "--codes-out", str(codes),
+        ]
+    )
+    assert rc == 0
+    assert cli.read_attribute_csv(codes).shape == (30, 5)
+
+
+def test_undecodable_input_names_the_path(tmp_path, meaningful_csv, capsys):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("1,-1\ncaf\xe9,1\n".encode("latin-1"))
+    out = tmp_path / "r.json"
+    rc = main(
+        [
+            "distance", "--meaningful", meaningful_csv, "--discovered", str(latin1),
+            "--mode", "plain", "--out", str(out),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{latin1}: not UTF-8 text" in err and "0xe9" in err
+    assert _left_behind(tmp_path, [str(latin1), meaningful_csv]) == []
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        ("read_feature_csv", "0.5,caf\xe9\n"),
+        ("read_label_csv", "1\n\xe9\n"),
+        ("read_naming_csv", "bit,positive_name\n0,caf\xe9\n"),
+        ("read_truth_csv", "item_id,keyword,suitable\n0,caf\xe9,1\n"),
+        ("read_keywords_json", '{"vocabulary": ["caf\xe9"], "items": {}}'),
+    ],
+)
+def test_undecodable_files_are_named(tmp_path, reader, text):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(InputFormatError, match=re.escape(f"{path}: not UTF-8 text")):
+        getattr(cli, reader)(path)
 
 
 def test_label_with_extra_field_exits_three(tmp_path, features_csv, capsys):
