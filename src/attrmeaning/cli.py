@@ -12,7 +12,10 @@ files.  Formats:
   optional actions CSV ``item_id,action``;
 * models and reports: JSON; reports carry a ``meta`` block (version,
   command line, seed) and never a timestamp, so identical invocations
-  produce byte-identical files.
+  produce byte-identical files.  A model document and the noise-curve and
+  keyword reports are derived from the fields of the result dataclasses
+  (``LshModel``/``ShModel``/``MmcModel``, ``NoiseCurve``, ``KeywordReport``,
+  ``HitRateReport``), so renaming such a field changes the file format.
 
 Exit codes: 0 success, 2 usage, 3 input/format, 4 numeric failure.
 All randomness flows from ``--seed``.  A command's output files appear
@@ -25,11 +28,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
 import sys
 import tempfile
+import typing
 import warnings
 
 import numpy as np
@@ -40,9 +45,7 @@ from .bench import SplitProtocol, run_noise_curve, run_split_validation
 from .discovery import (
     LiftClampWarning,
     LshModel,
-    MmcHyperparams,
     MmcModel,
-    PcaModel,
     ShModel,
     encode,
     fit_pca,
@@ -151,11 +154,11 @@ def _read_matrix(path, dtype, bad_token, charset, width=None, tokens=None) -> np
             )
         try:
             _put(M[row], fields, tokens)
-        except ValueError:
+        except (ValueError, OverflowError):
             for col, tok in enumerate(fields):
                 try:
                     _put(M[row, col : col + 1], [tok], tokens)
-                except ValueError:
+                except (ValueError, OverflowError):
                     message = bad_token.format(line=ln, field=col + 1, token=tok.strip())
                     raise InputFormatError(f"{path}: {message}") from None
     if M.dtype.kind == "f" and not np.isfinite(M).all():
@@ -380,53 +383,48 @@ def _meta(args, seed=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# model (de)serialization: {type, dims, bits, seed, payload}
+# model and report documents: the fields of the result dataclasses
+
+
+def _plain(value):
+    """A dataclass as a dict of its fields (recursively), an array as a list."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+_MODEL_TYPES = {"lsh": LshModel, "sh": ShModel, "mmc": MmcModel}
+_HEADER_FIELDS = ("dims", "bits", "seed")
+_INT_ARRAYS = frozenset(("modes", "classes"))  # every other array field is float64
 
 
 def model_to_dict(model) -> dict:
-    """Serialize a coder model to the JSON document schema."""
-    if isinstance(model, LshModel):
-        return {
-            "type": "lsh",
-            "dims": model.dims,
-            "bits": model.bits,
-            "seed": model.seed,
-            "payload": {"hyperplanes": model.hyperplanes.tolist()},
-        }
-    if isinstance(model, ShModel):
-        return {
-            "type": "sh",
-            "dims": model.dims,
-            "bits": model.bits,
-            "seed": None,
-            "payload": {
-                "pca": {
-                    "mean": model.pca.mean.tolist(),
-                    "basis": model.pca.basis.tolist(),
-                    "explained_variance": model.pca.explained_variance.tolist(),
-                },
-                "ranges": model.ranges.tolist(),
-                "modes": model.modes.tolist(),
-                "eigenvalues": model.eigenvalues.tolist(),
-            },
-        }
-    if isinstance(model, MmcModel):
-        return {
-            "type": "mmc",
-            "dims": model.dims,
-            "bits": model.bits,
-            "seed": model.seed,
-            "payload": {
-                "hyperplanes": model.hyperplanes.tolist(),
-                "classes": model.classes.tolist(),
-                "hyperparams": {
-                    "regularization": model.hyperparams.regularization,
-                    "epochs": model.hyperparams.epochs,
-                    "learning_rate": model.hyperparams.learning_rate,
-                },
-            },
-        }
-    raise TypeError(f"unknown coder model type: {type(model).__name__}")
+    """Serialize a coder model as ``{type, dims, bits, seed, payload}``.
+
+    ``payload`` holds the model's other fields; SH has no seed (``None``).
+    """
+    kind = next((k for k, cls in _MODEL_TYPES.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise TypeError(f"unknown coder model type: {type(model).__name__}")
+    payload = _plain(model)
+    header = {name: payload.pop(name, None) for name in _HEADER_FIELDS}
+    return {"type": kind, **header, "payload": payload}
+
+
+def _build(cls, values):
+    # fields in declaration order, so the first absent one is reported
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        hint, value = hints[f.name], values[f.name]
+        if dataclasses.is_dataclass(hint):
+            kwargs[f.name] = _build(hint, value)
+        elif hint is np.ndarray:
+            dtype = np.int64 if f.name in _INT_ARRAYS else np.float64
+            kwargs[f.name] = np.asarray(value, dtype=dtype)
+        else:
+            kwargs[f.name] = hint(value)
+    return cls(**kwargs)
 
 
 def model_from_dict(doc: dict):
@@ -434,54 +432,18 @@ def model_from_dict(doc: dict):
 
     Raises InputFormatError when the document is not an object, names an
     unknown model type, lacks or mistypes a field, or holds an array whose
-    shape does not fit its ``dims`` and ``bits``.
+    shape does not fit its ``dims`` and ``bits`` or a non-finite value.
     """
     if not isinstance(doc, dict):
         raise InputFormatError(
             f"model document must be a JSON object, got {type(doc).__name__}"
         )
     kind = doc.get("type")
-    if kind not in ("lsh", "sh", "mmc"):
+    if not isinstance(kind, str) or kind not in _MODEL_TYPES:
         raise InputFormatError(f"unknown model type: {kind!r}")
     try:
-        payload = doc["payload"]
-        if kind == "lsh":
-            model = LshModel(
-                hyperplanes=np.asarray(payload["hyperplanes"], dtype=np.float64),
-                dims=int(doc["dims"]),
-                bits=int(doc["bits"]),
-                seed=int(doc["seed"]),
-            )
-        elif kind == "sh":
-            pca = payload["pca"]
-            model = ShModel(
-                pca=PcaModel(
-                    mean=np.asarray(pca["mean"], dtype=np.float64),
-                    basis=np.asarray(pca["basis"], dtype=np.float64),
-                    explained_variance=np.asarray(
-                        pca["explained_variance"], dtype=np.float64
-                    ),
-                ),
-                ranges=np.asarray(payload["ranges"], dtype=np.float64),
-                modes=np.asarray(payload["modes"], dtype=np.int64),
-                eigenvalues=np.asarray(payload["eigenvalues"], dtype=np.float64),
-                dims=int(doc["dims"]),
-                bits=int(doc["bits"]),
-            )
-        else:
-            hp = payload["hyperparams"]
-            model = MmcModel(
-                hyperplanes=np.asarray(payload["hyperplanes"], dtype=np.float64),
-                classes=np.asarray(payload["classes"], dtype=np.int64),
-                dims=int(doc["dims"]),
-                bits=int(doc["bits"]),
-                seed=int(doc["seed"]),
-                hyperparams=MmcHyperparams(
-                    regularization=float(hp["regularization"]),
-                    epochs=int(hp["epochs"]),
-                    learning_rate=float(hp["learning_rate"]),
-                ),
-            )
+        header = {name: doc[name] for name in _HEADER_FIELDS if name in doc}
+        model = _build(_MODEL_TYPES[kind], {**doc["payload"], **header})
     except KeyError as exc:
         raise InputFormatError(
             f"{kind} model document is missing field {exc.args[0]!r}"
@@ -523,6 +485,8 @@ def _check_model_shapes(kind, model) -> None:
                 f"{kind} model field {name!r} has shape {array.shape}, "
                 f"expected {shape} for dims {dims} and bits {bits}"
             )
+        if not np.isfinite(array).all():
+            raise InputFormatError(f"{kind} model field {name!r} holds a non-finite value")
     if kind == "sh" and not ((model.modes[:, 0] >= 0) & (model.modes[:, 0] < p)).all():
         raise InputFormatError(
             f"sh model field 'modes' names a direction outside 0..{p - 1}"
@@ -631,13 +595,7 @@ def cmd_bench_noise_curve(args) -> int:
         seed=args.seed,
         config=_solver_config(args),
     )
-    report = {
-        "meta": _meta(args, seed=args.seed),
-        "counts": list(curve.counts),
-        "distances": list(curve.distances),
-        "trials": curve.trials,
-        "seed": curve.seed,
-    }
+    report = {"meta": _meta(args, seed=args.seed), **_plain(curve)}
     with _staged_outputs(args.out, args.csv_out) as (out, csv_out):
         write_json(out, report)
         write_curve_csv(csv_out, curve)
@@ -649,11 +607,7 @@ def cmd_keywords_generate(args) -> int:
     names = read_naming_csv(args.names)
     merged, merged_names = merge_duplicates(Z, names)
     report = generate_keywords(merged, merged_names)
-    document = {
-        "meta": _meta(args),
-        "vocabulary": list(report.vocabulary),
-        "items": {item: list(words) for item, words in report.items.items()},
-    }
+    document = {"meta": _meta(args), **_plain(report)}
     with _staged_outputs(args.out) as (out,):
         write_json(out, document)
     return EXIT_OK
@@ -663,14 +617,7 @@ def cmd_keywords_evaluate(args) -> int:
     report = read_keywords_json(args.keywords)
     truth = read_truth_csv(args.truth, args.actions)
     rates = evaluate_hit_rate(report, truth)
-    document = {
-        "meta": _meta(args),
-        "overall": rates.overall,
-        "emitted": rates.emitted,
-        "suitable": rates.suitable,
-        "per_keyword": rates.per_keyword,
-        "per_action": rates.per_action,
-    }
+    document = {"meta": _meta(args), **_plain(rates)}
     with _staged_outputs(args.out) as (out,):
         write_json(out, document)
     return EXIT_OK

@@ -109,13 +109,9 @@ def lift_features(F, config: LiftConfig | None = None) -> np.ndarray:
     for j in range(1, config.order + 1):
         amp = np.zeros_like(F)
         amp[pos] = np.sqrt(2.0 * F[pos] * L * _intersection_spectrum(j * L))
-        phase = j * L * logF
-        cos_block = amp * np.cos(phase)
-        sin_block = amp * np.sin(phase)
-        cos_block[~pos] = 0.0
-        sin_block[~pos] = 0.0
-        out[:, 2 * j - 1 :: width] = cos_block
-        out[:, 2 * j :: width] = sin_block
+        phase = j * L * logF  # amp and phase are 0 where F is 0
+        out[:, 2 * j - 1 :: width] = amp * np.cos(phase)
+        out[:, 2 * j :: width] = amp * np.sin(phase)
     return out
 
 
@@ -418,11 +414,14 @@ def encode(model, F) -> np.ndarray:
         resp = F @ model.hyperplanes.T
     elif isinstance(model, ShModel):
         P = (F - model.pca.mean) @ model.pca.basis
-        resp = np.empty((F.shape[0], model.bits))
-        for col, (direction, k) in enumerate(model.modes):
-            lo, hi = model.ranges[direction]
-            t = (P[:, direction] - lo) / (hi - lo)
-            resp[:, col] = np.sin(np.pi / 2.0 + k * np.pi * t)
+        dirs, k = model.modes.T
+        lo, hi = model.ranges.T
+        resp = P[:, dirs]  # a copy, updated in place: no (N, bits) temporaries
+        resp -= lo[dirs]
+        resp /= (hi - lo)[dirs]
+        resp *= k * np.pi
+        resp += np.pi / 2.0
+        np.sin(resp, out=resp)
     else:
         resp = F @ model.hyperplanes[:, :-1].T + model.hyperplanes[:, -1]
     return np.where(resp >= 0.0, 1, -1).astype(np.int8)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from attrmeaning import encode
+from attrmeaning import MmcHyperparams, encode, train_lsh, train_mmc, train_sh
 import attrmeaning.cli as cli
 from attrmeaning.cli import InputFormatError, main, model_from_dict
 
@@ -311,8 +311,8 @@ _MATRIX_READERS = ("read_attribute_csv", "read_feature_csv", "read_label_csv")
 def _read_outcome(reader, path):
     try:
         M = getattr(cli, reader)(path)
-    except (InputFormatError, ArithmeticError) as exc:
-        return type(exc).__name__, str(exc)
+    except InputFormatError as exc:
+        return str(exc)
     return M.dtype, M.shape, M.flags.c_contiguous, M.tobytes()
 
 
@@ -347,6 +347,7 @@ def _canonical_texts(seed):
     yield "read_feature_csv", "1,2\n\n3,1e999\n"
     yield "read_feature_csv", "1,-1e999\n"
     yield "read_label_csv", "99999999999999999999\n"
+    yield "read_label_csv", "0\n1\n99999999999999999999\n"
     yield "read_attribute_csv", "1111,1\n"
     yield "read_label_csv", "\n\n"
     yield "read_attribute_csv", ""
@@ -488,6 +489,22 @@ def test_label_with_extra_field_exits_three(tmp_path, features_csv, capsys):
     assert rc == 3
     assert "line 2 has 2 fields, expected 1" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_overflowing_label_exits_three(tmp_path, features_csv, capsys):
+    labels = _write(tmp_path / "lab.csv", "0\n1\n99999999999999999999\n" + "1\n" * 37)
+    rc = main(
+        [
+            "discover", "--method", "mmc", "--bits", "2",
+            "--features", features_csv, "--labels", labels,
+            "--model-out", str(tmp_path / "m.json"),
+            "--codes-out", str(tmp_path / "z.csv"),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{labels}: line 3: '99999999999999999999' is not an integer label" in err
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "z.csv").exists()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (7, 1), (40, 13)])
@@ -710,11 +727,66 @@ def test_valid_model_documents_encode():
         (_model_doc("sh", "modes", [[0, 1]]), r"'modes' has shape \(1, 2\)"),
         (_model_doc("sh", "eigenvalues", [0.9]), "'eigenvalues' has shape"),
         (_model_doc("sh", "modes", [[0, 1], [3, 1]]), "direction outside"),
+        ({"type": ["lsh"]}, "unknown model type"),
+        # JSON's NaN and Infinity, and null inside a float array
+        (_model_doc("lsh", "hyperplanes", [[1.0, float("nan"), 0.0], [0.0, 1.0, 0.0]]),
+         "lsh model field 'hyperplanes' holds a non-finite value"),
+        (_model_doc("mmc", "hyperplanes", [[1.0, -1.0, float("inf")]]),
+         "mmc model field 'hyperplanes' holds a non-finite value"),
+        (_model_doc("sh", "pca.mean", [0.5, float("-inf")]),
+         "sh model field 'pca.mean' holds a non-finite value"),
+        (_model_doc("sh", "eigenvalues", [0.9, None]),
+         "sh model field 'eigenvalues' holds a non-finite value"),
     ],
 )
 def test_model_from_dict_rejects_malformed_documents(doc, match):
     with pytest.raises(InputFormatError, match=match):
         model_from_dict(doc)
+
+
+def _key_tree(value):
+    return {k: _key_tree(v) for k, v in value.items()} if isinstance(value, dict) else None
+
+
+# each coder's payload keys; None marks a leaf
+_PAYLOAD_TREES = {
+    "lsh": {"hyperplanes": None},
+    "sh": {
+        "pca": {"mean": None, "basis": None, "explained_variance": None},
+        "ranges": None,
+        "modes": None,
+        "eigenvalues": None,
+    },
+    "mmc": {
+        "hyperplanes": None,
+        "classes": None,
+        "hyperparams": {"regularization": None, "epochs": None, "learning_rate": None},
+    },
+}
+
+
+def _trained_models():
+    rng = np.random.default_rng(11)
+    F = rng.uniform(0.05, 1.0, size=(30, 4))
+    y = rng.integers(0, 3, size=30)
+    return [
+        train_lsh(4, 3, seed=5),
+        train_sh(F, 3),
+        train_mmc(F, y, 2, seed=5, hyperparams=MmcHyperparams(epochs=2)),
+    ]
+
+
+def test_model_documents_keep_their_schema_and_round_trip():
+    docs = [_model_doc(kind) for kind in _VALID_MODELS]
+    docs += [cli.model_to_dict(model) for model in _trained_models()]
+    assert sorted(doc["type"] for doc in docs) == ["lsh", "lsh", "mmc", "mmc", "sh", "sh"]
+    for doc in docs:
+        assert set(doc) == {"type", "dims", "bits", "seed", "payload"}
+        assert _key_tree(doc["payload"]) == _PAYLOAD_TREES[doc["type"]]
+        assert (doc["seed"] is None) == (doc["type"] == "sh")
+        # compared as JSON text, so an int array read back as floats shows
+        text = json.dumps(doc, sort_keys=True)
+        assert json.dumps(cli.model_to_dict(model_from_dict(doc)), sort_keys=True) == text
 
 
 # ---------------------------------------------------------------------------
@@ -876,6 +948,39 @@ def test_keywords_evaluate_with_actions(tmp_path, keyword_files):
     doc = json.loads(out.read_text())
     assert doc["per_action"]["walk"] == pytest.approx(1 / 2)
     assert doc["per_action"]["run"] == 1.0
+
+
+def test_report_documents_keep_their_keys(tmp_path, keyword_files):
+    codes, names = keyword_files
+    truth = _write(
+        tmp_path / "truth.csv",
+        "item_id,keyword,suitable\n0,Striped,1\n1,fuzzy,0\n2,Striped,1\n2,fuzzy,1\n",
+    )
+    runs = {
+        "nc.json": [
+            "bench", "noise-curve", "--discovered", codes, "--meaningful", codes,
+            "--max-noise", "2", "--step", "1", "--trials", "1",
+            "--out", str(tmp_path / "nc.json"), "--csv-out", str(tmp_path / "nc.csv"),
+        ],
+        "kw.json": [
+            "keywords", "generate", "--codes", codes, "--names", names,
+            "--out", str(tmp_path / "kw.json"),
+        ],
+        "eval.json": [
+            "keywords", "evaluate", "--keywords", str(tmp_path / "kw.json"),
+            "--truth", truth, "--out", str(tmp_path / "eval.json"),
+        ],
+    }
+    expected = {
+        "nc.json": {"counts", "distances", "trials", "seed"},
+        "kw.json": {"vocabulary", "items"},
+        "eval.json": {"overall", "emitted", "suitable", "per_keyword", "per_action"},
+    }
+    for name, argv in runs.items():
+        assert main(argv) == 0
+        doc = json.loads((tmp_path / name).read_text())
+        assert set(doc) == {"meta", *expected[name]}
+        assert set(doc["meta"]) == {"version", "command", "seed"}
 
 
 def test_keywords_empty_truth_exits_three(tmp_path, keyword_files, capsys):
