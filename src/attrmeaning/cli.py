@@ -411,6 +411,15 @@ def model_to_dict(model) -> dict:
     return {"type": kind, **header, "payload": payload}
 
 
+def _integers(value):
+    # a JSON integer or nested list of them; a bool or a number such as 3.9
+    # would otherwise be truncated to an integer
+    for v in np.asarray(value, dtype=object).flat:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"expected integers, got {value!r}")
+    return value
+
+
 def _build(cls, values):
     # fields in declaration order, so the first absent one is reported
     hints = typing.get_type_hints(cls)
@@ -420,10 +429,12 @@ def _build(cls, values):
         if dataclasses.is_dataclass(hint):
             kwargs[f.name] = _build(hint, value)
         elif hint is np.ndarray:
-            dtype = np.int64 if f.name in _INT_ARRAYS else np.float64
-            kwargs[f.name] = np.asarray(value, dtype=dtype)
+            if f.name in _INT_ARRAYS:
+                kwargs[f.name] = np.asarray(_integers(value), dtype=np.int64)
+            else:
+                kwargs[f.name] = np.asarray(value, dtype=np.float64)
         else:
-            kwargs[f.name] = hint(value)
+            kwargs[f.name] = hint(_integers(value) if hint is int else value)
     return cls(**kwargs)
 
 
@@ -448,7 +459,7 @@ def model_from_dict(doc: dict):
         raise InputFormatError(
             f"{kind} model document is missing field {exc.args[0]!r}"
         ) from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise InputFormatError(
             f"{kind} model document has a mistyped field: {exc}"
         ) from None

@@ -278,8 +278,9 @@ class MmcHyperparams:
     def __post_init__(self):
         if not (self.regularization > 0.0):
             raise ValueError(f"regularization must be positive, got {self.regularization}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        epochs = self.epochs
+        if isinstance(epochs, bool) or not isinstance(epochs, (int, np.integer)) or epochs < 1:
+            raise ValueError(f"epochs must be an integer >= 1, got {epochs!r}")
         if not (self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
@@ -353,15 +354,16 @@ def train_mmc(
     """Train the max-margin coder on labelled features.
 
     Codes are initialized from random hyperplanes (:func:`train_lsh` with
-    the same seed), then refined for `epochs` rounds of block-coordinate
-    updates:
+    the same seed), refined for `epochs` - 1 rounds of two updates:
 
     (a) fit one-vs-rest hinge classifiers on the current codes;
-    (b) refit each bit's affine hyperplane on the features to predict the
-        current bit assignments;
     (c) greedily flip any training bit whose flip strictly lowers the total
-        one-vs-rest hinge loss, in fixed row-major order.
+        one-vs-rest hinge loss, in fixed row-major order;
 
+    then (b) each bit's affine hyperplane is fit once on the features to
+    predict the final codes.  That is the same model as refitting (b)
+    between (a) and (c) in each of `epochs` rounds: only the last refit,
+    made before the last round's flips, would be kept.
     The flip phase never increases the category hinge loss, and the whole
     procedure is deterministic for a fixed seed.  The returned model encodes
     by hyperplane response sign.
@@ -386,11 +388,10 @@ def train_mmc(
     B = np.where(F @ init.hyperplanes.T >= 0.0, 1.0, -1.0)  # (n, k) working codes
     Y = np.where(y[:, None] == classes[None, :], 1.0, -1.0)  # (n, c) one-vs-rest
 
-    H = np.empty((k, d + 1))
-    for _ in range(hp.epochs):
+    for _ in range(hp.epochs - 1):
         Wc, bc = _fit_hinge(B, Y, hp.regularization, hp.learning_rate)
-        H[:, :d], H[:, d] = _fit_hinge(F, B, hp.regularization, hp.learning_rate)
         _flip_bits(B, Wc, bc, Y)
+    H = np.column_stack(_fit_hinge(F, B, hp.regularization, hp.learning_rate))
 
     return MmcModel(
         hyperplanes=H, classes=classes, dims=d, bits=k, seed=seed, hyperparams=hp

@@ -737,6 +737,20 @@ def test_valid_model_documents_encode():
          "sh model field 'pca.mean' holds a non-finite value"),
         (_model_doc("sh", "eigenvalues", [0.9, None]),
          "sh model field 'eigenvalues' holds a non-finite value"),
+        # integer fields: a bool, a fraction or an integral float is mistyped,
+        # not truncated
+        ({**_model_doc("mmc"), "dims": 3.9}, "mistyped field: expected integers, got 3.9"),
+        ({**_model_doc("mmc"), "bits": True}, "mistyped field: expected integers, got True"),
+        ({**_model_doc("lsh"), "seed": 0.5}, "mistyped field: expected integers, got 0.5"),
+        ({**_model_doc("lsh"), "dims": 2.0}, "mistyped field: expected integers"),
+        ({**_model_doc("lsh"), "dims": "2"}, "mistyped field: expected integers"),
+        (_model_doc("mmc", "classes", [0.7, 1.2]), r"expected integers, got \[0.7, 1.2\]"),
+        (_model_doc("mmc", "classes", [0, True]), "mistyped field: expected integers"),
+        (_model_doc("mmc", "classes", [0, 2**70]), "mistyped field"),
+        (_model_doc("sh", "modes", [[0, 1], [1, 1.5]]), "mistyped field: expected integers"),
+        (_model_doc("mmc", "hyperparams.epochs", 2.7), "expected integers, got 2.7"),
+        (_model_doc("mmc", "hyperparams.epochs", False), "mistyped field: expected integers"),
+        (_model_doc("mmc", "hyperparams.epochs", 0), "epochs must be an integer >= 1"),
     ],
 )
 def test_model_from_dict_rejects_malformed_documents(doc, match):

@@ -6,6 +6,7 @@ import pytest
 from attrmeaning import (
     LiftClampWarning,
     LiftConfig,
+    MmcHyperparams,
     apply_pca,
     encode,
     fit_pca,
@@ -269,6 +270,12 @@ def test_mmc_validation():
         train_mmc(F, y, bits=0)
 
 
+@pytest.mark.parametrize("epochs", [0, 2.7, 2.0, True, "2"])
+def test_mmc_hyperparams_reject_bad_epochs(epochs):
+    with pytest.raises(ValueError, match="epochs must be an integer >= 1"):
+        MmcHyperparams(epochs=epochs)
+
+
 def test_encode_rejects_unknown_model():
     with pytest.raises(TypeError, match="unknown coder"):
         encode(object(), np.ones((2, 2)))
@@ -422,5 +429,60 @@ def test_mmc_codes_match_per_fit_trainer(F, y, bits, seed):
     model = train_mmc(F, y, bits=bits, seed=seed)
     H_ref = _train_mmc_per_fit(F, y, bits, seed)
     _assert_rel_close(model.hyperplanes, H_ref, 1e-12)
+    Z_ref = np.where(F @ H_ref[:, :-1].T + H_ref[:, -1] >= 0.0, 1, -1)
+    assert np.array_equal(encode(model, F), Z_ref)
+
+
+# ---------------------------------------------------------------------------
+# max-margin coder: one bit fit after the last flip phase against the batched
+# loop that refitted the bit hyperplanes in every epoch
+
+
+def _train_mmc_every_epoch(F, y, bits, seed, epochs=20, lam=1e-4, lr=0.1):
+    # reference: the batched coder as it ran before, with the class fit, the
+    # bit fit and the flip phase in each of `epochs` rounds
+    classes = np.unique(y)
+    d = F.shape[1]
+    B = np.where(F @ train_lsh(d, bits, seed).hyperplanes.T >= 0.0, 1.0, -1.0)
+    Y = np.where(y[:, None] == classes[None, :], 1.0, -1.0)
+    H = np.empty((bits, d + 1))
+    for _ in range(epochs):
+        Wc, bc = _fit_hinge(B, Y, lam, lr)
+        H[:, :d], H[:, d] = _fit_hinge(F, B, lam, lr)
+        _flip_bits(B, Wc, bc, Y)
+    return H, classes
+
+
+def _lifted_mmc_cell(n, dims, c, seed):
+    # labelled topic histograms, lifted and PCA-reduced to half the lifted
+    # width, as `discover --method mmc --lift --pca-keep 0.5` trains on
+    rng = np.random.default_rng(seed)
+    topics = rng.dirichlet(np.full(dims, 0.2), size=c)
+    y = np.arange(n) % c
+    rng.shuffle(y)
+    mix = 0.7 * topics[y] + 0.3 * rng.dirichlet(np.ones(dims), size=n)
+    F = lift_features(rng.multinomial(200, mix / mix.sum(axis=1, keepdims=True)))
+    return apply_pca(fit_pca(F, 0.5), F), y
+
+
+def _every_epoch_cases():
+    cases = [
+        pytest.param(*p.values, 20, id=f"{p.id}-e20") for p in _mmc_fixtures()
+    ]
+    for n, dims, c, bits in ((40, 6, 2, 2), (160, 24, 4, 4)):
+        F, y = _lifted_mmc_cell(n, dims, c, seed=n)
+        cases += [
+            pytest.param(F, y, bits, 7, epochs, id=f"lifted{n}x{3 * dims}-e{epochs}")
+            for epochs in (1, 2)
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("F, y, bits, seed, epochs", _every_epoch_cases())
+def test_mmc_equals_every_epoch_bit_fit(F, y, bits, seed, epochs):
+    model = train_mmc(F, y, bits, MmcHyperparams(epochs=epochs), seed=seed)
+    H_ref, classes_ref = _train_mmc_every_epoch(F, y, bits, seed, epochs)
+    assert np.array_equal(model.hyperplanes, H_ref)
+    assert np.array_equal(model.classes, classes_ref)
     Z_ref = np.where(F @ H_ref[:, :-1].T + H_ref[:, -1] >= 0.0, 1, -1)
     assert np.array_equal(encode(model, F), Z_ref)
