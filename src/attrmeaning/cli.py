@@ -18,9 +18,10 @@ files.  Formats:
   ``HitRateReport``), so renaming such a field changes the file format.
 
 Exit codes: 0 success, 2 usage, 3 input/format, 4 numeric failure.
-All randomness flows from ``--seed``.  A command's output files appear
-together or not at all: each is staged next to its target and renamed into
-place only after every write has succeeded.
+All randomness flows from ``--seed``.  Each command returns its outputs
+and ``main`` publishes them, so a command's output files appear together or
+not at all: each is written next to its target and renamed into place only
+after every write has succeeded.
 """
 
 from __future__ import annotations
@@ -239,18 +240,15 @@ def read_naming_csv(path) -> NamingTable:
         try:
             bit = int(bit_text)
         except ValueError:
-            raise InputFormatError(
-                f"{path}: line {ln}: {bit_text!r} is not a bit index"
-            ) from None
+            bit = -1  # rejected below, with the negative indices
+        if bit < 0:
+            raise InputFormatError(f"{path}: line {ln}: {bit_text!r} is not a bit index")
         if bit in seen:
             raise InputFormatError(f"{path}: line {ln}: bit {bit} listed twice")
         seen.add(bit)
         if name:
             entries[bit] = name
-    try:
-        return NamingTable(entries)
-    except ValueError as exc:
-        raise InputFormatError(f"{path}: {exc}") from exc
+    return NamingTable(entries)
 
 
 def read_truth_csv(path, actions_path=None) -> TruthTable:
@@ -289,15 +287,16 @@ def read_keywords_json(path) -> KeywordReport:
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        vocabulary = tuple(str(w) for w in doc["vocabulary"])
-        items = {
-            str(item): tuple(str(w) for w in words)
-            for item, words in doc["items"].items()
-        }
+        vocabulary = tuple(doc["vocabulary"])
+        items = {item: tuple(words) for item, words in doc["items"].items()}
     except (KeyError, TypeError, AttributeError) as exc:
         raise InputFormatError(
             f"{path}: expected JSON object with 'vocabulary' and 'items'"
         ) from exc
+    for word in vocabulary:
+        if not isinstance(word, str):
+            raise InputFormatError(f"{path}: keyword {word!r} is not a JSON string")
+    # every emitted word must be one of these strings, so it is a string too
     vocab_set = set(vocabulary)
     for item, words in items.items():
         for word in words:
@@ -330,9 +329,9 @@ def _sibling_temp(target) -> str:
     return tmp
 
 
-@contextlib.contextmanager
-def _staged_outputs(*targets):
-    """Yield one temp path per target; publish them all if the block succeeds.
+def _publish(outputs) -> None:
+    """Write each ``(target, writer, value)`` as ``writer(temp, value)`` to a
+    temp file next to its target; rename the temps once every write succeeded.
 
     On any failure every temp file and every target already published by
     this call is removed, so a failing command leaves no output behind.
@@ -340,10 +339,11 @@ def _staged_outputs(*targets):
     """
     temps, published = [], []
     try:
-        for target in targets:
+        for target, _, _ in outputs:
             temps.append(_sibling_temp(target))
-        yield temps
-        for tmp, target in zip(temps, targets):
+        for tmp, (_, writer, value) in zip(temps, outputs):
+            writer(tmp, value)
+        for tmp, (target, _, _) in zip(temps, outputs):
             os.replace(tmp, target)
             published.append(target)
     except BaseException as exc:
@@ -351,7 +351,7 @@ def _staged_outputs(*targets):
             with contextlib.suppress(OSError):
                 os.unlink(path)
         if isinstance(exc, OSError) and exc.filename in temps:
-            target = targets[temps.index(exc.filename)]
+            target = outputs[temps.index(exc.filename)][0]
             raise OSError(exc.errno, exc.strerror, target) from exc
         raise
 
@@ -411,12 +411,15 @@ def model_to_dict(model) -> dict:
     return {"type": kind, **header, "payload": payload}
 
 
-def _integers(value):
-    # a JSON integer or nested list of them; a bool or a number such as 3.9
-    # would otherwise be truncated to an integer
+def _numbers(value, kind):
+    # a JSON number or nested list of them, checked before int()/float()/numpy
+    # would convert a bool, a string or (for ints) a fraction such as 3.9;
+    # null becomes NaN in a float array, which the shape check reports
+    accepted = int if kind is int else (int, float, type(None))
     for v in np.asarray(value, dtype=object).flat:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise TypeError(f"expected integers, got {value!r}")
+        if isinstance(v, bool) or not isinstance(v, accepted):
+            noun = "integers" if kind is int else "numbers"
+            raise TypeError(f"expected {noun}, got {value!r}")
     return value
 
 
@@ -429,12 +432,10 @@ def _build(cls, values):
         if dataclasses.is_dataclass(hint):
             kwargs[f.name] = _build(hint, value)
         elif hint is np.ndarray:
-            if f.name in _INT_ARRAYS:
-                kwargs[f.name] = np.asarray(_integers(value), dtype=np.int64)
-            else:
-                kwargs[f.name] = np.asarray(value, dtype=np.float64)
+            kind, dtype = (int, np.int64) if f.name in _INT_ARRAYS else (float, np.float64)
+            kwargs[f.name] = np.asarray(_numbers(value, kind), dtype=dtype)
         else:
-            kwargs[f.name] = hint(_integers(value) if hint is int else value)
+            kwargs[f.name] = hint(_numbers(value, hint))
     return cls(**kwargs)
 
 
@@ -505,7 +506,7 @@ def _check_model_shapes(kind, model) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its outputs as (target, writer, value) triples
 
 
 def _solver_config(args) -> SolverConfig:
@@ -515,7 +516,13 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
-def cmd_discover(args) -> int:
+def _check_rows(first, A, second, B) -> None:
+    # two matrix files that describe the same instances, one per row
+    if A.shape[0] != B.shape[0]:
+        raise InputFormatError(f"{second}: {B.shape[0]} rows, but {first} has {A.shape[0]}")
+
+
+def cmd_discover(args) -> list:
     F = read_feature_csv(args.features)
     labels = read_label_csv(args.labels) if args.labels else None
     if labels is not None and labels.shape[0] != F.shape[0]:
@@ -539,22 +546,20 @@ def cmd_discover(args) -> int:
         model = train_sh(F, args.bits)
     else:
         model = train_mmc(F, labels, args.bits, seed=args.seed)
-    codes = encode(model, F)
-
-    with _staged_outputs(args.model_out, args.codes_out) as (model_out, codes_out):
-        write_json(model_out, model_to_dict(model))
-        write_attribute_csv(codes_out, codes)
-    return EXIT_OK
+    return [
+        (args.model_out, write_json, model_to_dict(model)),
+        (args.codes_out, write_attribute_csv, encode(model, F)),
+    ]
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args) -> list:
     S = read_attribute_csv(args.meaningful)
     D = read_attribute_csv(args.discovered)
-    config = _solver_config(args)
+    _check_rows(args.meaningful, S, args.discovered, D)
     if args.mode == "plain":
         result = distance_plain(S, D)
     else:
-        result = distance_cvx(S, D, config)
+        result = distance_cvx(S, D, _solver_config(args))
     report = {
         "meta": _meta(args),
         "mode": result.mode,
@@ -566,37 +571,36 @@ def cmd_distance(args) -> int:
         "per_attribute_residuals": result.per_attribute_residuals.tolist(),
         "converged": list(result.converged) if result.converged else None,
     }
-    with _staged_outputs(args.out) as (out,):
-        write_json(out, report)
-    return EXIT_OK
+    return [(args.out, write_json, report)]
 
 
-def _parse_method_entries(pairs):
+def _parse_method_entries(args, S):
+    # --method NAME=PATH entries, each read and checked against --meaningful
     entries = []
-    for spec_pair in pairs or []:
+    for spec_pair in args.method or []:
         name, sep, path = spec_pair.partition("=")
         if not sep or not name or not path:
             raise InputFormatError(
                 f"--method expects NAME=PATH, got {spec_pair!r}"
             )
-        entries.append((name, read_attribute_csv(path)))
+        Z = read_attribute_csv(path)
+        _check_rows(args.meaningful, S, path, Z)
+        entries.append((name, Z))
     return entries
 
 
-def cmd_bench_split_validate(args) -> int:
+def cmd_bench_split_validate(args) -> list:
     S = read_attribute_csv(args.meaningful)
-    methods = _parse_method_entries(args.method)
+    methods = _parse_method_entries(args, S)
     protocol = SplitProtocol(seed=args.seed, left_fraction=args.left_fraction)
     report = run_split_validation(S, methods, protocol, _solver_config(args))
-    report = {"meta": _meta(args, seed=args.seed), **report}
-    with _staged_outputs(args.out) as (out,):
-        write_json(out, report)
-    return EXIT_OK
+    return [(args.out, write_json, {"meta": _meta(args, seed=args.seed), **report})]
 
 
-def cmd_bench_noise_curve(args) -> int:
+def cmd_bench_noise_curve(args) -> list:
     D = read_attribute_csv(args.discovered)
     S = read_attribute_csv(args.meaningful)
+    _check_rows(args.meaningful, S, args.discovered, D)
     curve = run_noise_curve(
         D,
         S,
@@ -606,32 +610,31 @@ def cmd_bench_noise_curve(args) -> int:
         seed=args.seed,
         config=_solver_config(args),
     )
-    report = {"meta": _meta(args, seed=args.seed), **_plain(curve)}
-    with _staged_outputs(args.out, args.csv_out) as (out, csv_out):
-        write_json(out, report)
-        write_curve_csv(csv_out, curve)
-    return EXIT_OK
+    return [
+        (args.out, write_json, {"meta": _meta(args, seed=args.seed), **_plain(curve)}),
+        (args.csv_out, write_curve_csv, curve),
+    ]
 
 
-def cmd_keywords_generate(args) -> int:
+def cmd_keywords_generate(args) -> list:
     Z = read_attribute_csv(args.codes)
     names = read_naming_csv(args.names)
+    bit = max(names.entries, default=-1)
+    if bit >= Z.shape[1]:
+        raise InputFormatError(
+            f"{args.names}: bit {bit} is out of range for the "
+            f"{Z.shape[1]} columns of {args.codes}"
+        )
     merged, merged_names = merge_duplicates(Z, names)
     report = generate_keywords(merged, merged_names)
-    document = {"meta": _meta(args), **_plain(report)}
-    with _staged_outputs(args.out) as (out,):
-        write_json(out, document)
-    return EXIT_OK
+    return [(args.out, write_json, {"meta": _meta(args), **_plain(report)})]
 
 
-def cmd_keywords_evaluate(args) -> int:
+def cmd_keywords_evaluate(args) -> list:
     report = read_keywords_json(args.keywords)
     truth = read_truth_csv(args.truth, args.actions)
     rates = evaluate_hit_rate(report, truth)
-    document = {"meta": _meta(args), **_plain(rates)}
-    with _staged_outputs(args.out) as (out,):
-        write_json(out, document)
-    return EXIT_OK
+    return [(args.out, write_json, {"meta": _meta(args), **_plain(rates)})]
 
 
 # ---------------------------------------------------------------------------
@@ -769,15 +772,20 @@ def main(argv=None) -> int:
 
     if args.command == "discover" and args.method == "mmc" and not args.labels:
         parser.error("--labels is required for --method mmc")
+    if args.func is cmd_bench_noise_curve and args.max_noise % args.step:
+        parser.error(
+            f"--max-noise ({args.max_noise}) must be a multiple of --step ({args.step})"
+        )
 
     try:
-        return args.func(args)
+        _publish(args.func(args))
     except (InputFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -212,6 +212,25 @@ def test_distance_row_mismatch_exit_code(tmp_path, meaningful_csv, capsys):
     assert "40" in err and "2" in err
 
 
+@pytest.mark.parametrize("command", ["distance", "split-validate", "noise-curve"])
+def test_row_count_mismatch_names_both_files(tmp_path, meaningful_csv, capsys, command):
+    short = _write(tmp_path / "short.csv", "1,-1\n-1,1\n")
+    out = ["--out", str(tmp_path / "o.json")]
+    argv = {
+        "distance": ["distance", "--meaningful", meaningful_csv, "--discovered", short,
+                     "--mode", "plain", *out],
+        "split-validate": ["bench", "split-validate", "--meaningful", meaningful_csv,
+                           "--method", f"m={short}", *out],
+        "noise-curve": ["bench", "noise-curve", "--discovered", short,
+                        "--meaningful", meaningful_csv, "--max-noise", "2", "--step", "2",
+                        "--trials", "1", *out, "--csv-out", str(tmp_path / "o.csv")],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{short}: 2 rows, but {meaningful_csv} has 40" in err
+    assert _left_behind(tmp_path, [meaningful_csv, short]) == []
+
+
 def test_malformed_attribute_token_exit_code(tmp_path, meaningful_csv, capsys):
     bad = _write(tmp_path / "bad.csv", "1,-1\n1,2\n")
     rc = main(
@@ -288,6 +307,10 @@ _READER_CASES = [
     ("read_naming_csv", "bit,positive_name\n\n0,a,b\n", "line 3 has 3 fields, expected 2"),
     ("read_truth_csv", "item_id,keyword,suitable\n0,a,1\n\n1,b,2\n",
      "line 4: suitable must be 0 or 1, got '2'"),
+    ("read_naming_csv", "bit,positive_name\n0,a\n\n-2,b\n",
+     "line 4: '-2' is not a bit index"),
+    ("read_keywords_json", '{"vocabulary": ["a", true], "items": {"0": ["a"]}}',
+     "keyword True is not a JSON string"),
 ]
 
 
@@ -651,6 +674,65 @@ def test_failure_after_first_output_is_written_leaves_no_output(
     assert _left_behind(tmp_path, [meaningful_csv]) == []
 
 
+def test_failed_write_keeps_earlier_outputs(tmp_path, meaningful_csv, monkeypatch):
+    # no target is replaced before every output is written
+    def disk_full(path, curve):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "write_curve_csv", disk_full)
+    out, csv_out = tmp_path / "nc.json", tmp_path / "nc.csv"
+    out.write_text("earlier report\n")
+    csv_out.write_text("earlier curve\n")
+    rc = main(
+        [
+            "bench", "noise-curve", "--discovered", meaningful_csv,
+            "--meaningful", meaningful_csv, "--max-noise", "2", "--step", "2",
+            "--trials", "1", "--out", str(out), "--csv-out", str(csv_out),
+        ]
+    )
+    assert rc == 3
+    assert out.read_text() == "earlier report\n"
+    assert csv_out.read_text() == "earlier curve\n"
+    assert _left_behind(tmp_path, [meaningful_csv, str(out), str(csv_out)]) == []
+
+
+def test_commands_leave_writing_to_publish(
+    tmp_path, features_csv, labels_csv, meaningful_csv, monkeypatch
+):
+    # every subcommand returns its outputs; only main's _publish writes them
+    names = _write(tmp_path / "names.csv", "bit,positive_name\n0,red\n1,blue\n")
+    keywords = _write(
+        tmp_path / "kw.json", '{"vocabulary": ["red"], "items": {"0": ["red"]}}'
+    )
+    truth = _write(tmp_path / "truth.csv", "item_id,keyword,suitable\n0,red,1\n")
+    inputs = [features_csv, labels_csv, meaningful_csv, names, keywords, truth]
+    out = str(tmp_path / "out.json")
+    runs = [
+        (["discover", "--method", "mmc", "--bits", "2", "--features", features_csv,
+          "--labels", labels_csv, "--model-out", out, "--codes-out", str(tmp_path / "z.csv")],
+         [out, str(tmp_path / "z.csv")]),
+        (["distance", "--meaningful", meaningful_csv, "--discovered", meaningful_csv,
+          "--mode", "cvx", "--out", out], [out]),
+        (["bench", "split-validate", "--meaningful", meaningful_csv,
+          "--method", f"m={meaningful_csv}", "--out", out], [out]),
+        (["bench", "noise-curve", "--discovered", meaningful_csv,
+          "--meaningful", meaningful_csv, "--max-noise", "2", "--step", "1",
+          "--trials", "1", "--out", out, "--csv-out", str(tmp_path / "c.csv")],
+         [out, str(tmp_path / "c.csv")]),
+        (["keywords", "generate", "--codes", meaningful_csv, "--names", names,
+          "--out", out], [out]),
+        (["keywords", "evaluate", "--keywords", keywords, "--truth", truth,
+          "--out", out], [out]),
+    ]
+    recorded = []
+    monkeypatch.setattr(cli, "_publish", recorded.append)
+    for argv, targets in runs:
+        assert main(argv) == 0
+        assert [target for target, _writer, _value in recorded.pop()] == targets
+        assert recorded == []
+        assert _left_behind(tmp_path, inputs) == []
+
+
 _VALID_MODELS = {
     "lsh": {
         "type": "lsh", "dims": 3, "bits": 2, "seed": 0,
@@ -751,6 +833,16 @@ def test_valid_model_documents_encode():
         (_model_doc("mmc", "hyperparams.epochs", 2.7), "expected integers, got 2.7"),
         (_model_doc("mmc", "hyperparams.epochs", False), "mistyped field: expected integers"),
         (_model_doc("mmc", "hyperparams.epochs", 0), "epochs must be an integer >= 1"),
+        # float fields and float arrays take JSON numbers only
+        (_model_doc("mmc", "hyperparams.regularization", "1e-4"),
+         "mistyped field: expected numbers, got '1e-4'"),
+        (_model_doc("mmc", "hyperparams.learning_rate", True),
+         "mistyped field: expected numbers, got True"),
+        (_model_doc("lsh", "hyperplanes", [[1.0, "1.0", 0.0], [0.0, 1.0, 0.0]]),
+         "mistyped field: expected numbers"),
+        (_model_doc("mmc", "hyperplanes", [[1.0, -1.0, True]]),
+         "mistyped field: expected numbers"),
+        (_model_doc("sh", "pca.mean", "0.5"), "mistyped field: expected numbers"),
     ],
 )
 def test_model_from_dict_rejects_malformed_documents(doc, match):
@@ -875,16 +967,23 @@ def test_bench_noise_curve(tmp_path, meaningful_csv):
 
 
 def test_bench_noise_curve_bad_grid(tmp_path, meaningful_csv, capsys):
-    rc = main(
-        [
-            "bench", "noise-curve", "--discovered", meaningful_csv,
-            "--meaningful", meaningful_csv, "--max-noise", "5", "--step", "2",
-            "--trials", "1", "--seed", "1",
-            "--out", str(tmp_path / "o.json"), "--csv-out", str(tmp_path / "o.csv"),
-        ]
-    )
-    assert rc == 3
-    assert "multiple" in capsys.readouterr().err
+    # --max-noise not a multiple of --step, above it and below it
+    for max_noise in ("5", "3", "1"):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "bench", "noise-curve", "--discovered", meaningful_csv,
+                    "--meaningful", meaningful_csv, "--max-noise", max_noise,
+                    "--step", "2", "--trials", "1", "--seed", "1",
+                    "--out", str(tmp_path / "o.json"),
+                    "--csv-out", str(tmp_path / "o.csv"),
+                ]
+            )
+        assert exc.value.code == 2
+        assert f"--max-noise ({max_noise}) must be a multiple of --step (2)" in (
+            capsys.readouterr().err
+        )
+        assert _left_behind(tmp_path, [meaningful_csv]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -995,6 +1094,21 @@ def test_report_documents_keep_their_keys(tmp_path, keyword_files):
         doc = json.loads((tmp_path / name).read_text())
         assert set(doc) == {"meta", *expected[name]}
         assert set(doc["meta"]) == {"version", "command", "seed"}
+
+
+def test_keywords_named_bit_beyond_codes_exits_three(tmp_path, keyword_files, capsys):
+    codes, fixture_names = keyword_files
+    names = _write(tmp_path / "wide.csv", "bit,positive_name\n0,red\n5,blue\n")
+    rc = main(
+        [
+            "keywords", "generate", "--codes", codes, "--names", names,
+            "--out", str(tmp_path / "kw.json"),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{names}: bit 5 is out of range for the 3 columns of {codes}" in err
+    assert _left_behind(tmp_path, [codes, fixture_names, names]) == []
 
 
 def test_keywords_empty_truth_exits_three(tmp_path, keyword_files, capsys):
