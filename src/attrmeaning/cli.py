@@ -287,25 +287,31 @@ def read_keywords_json(path) -> KeywordReport:
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        vocabulary = tuple(doc["vocabulary"])
-        items = {item: tuple(words) for item, words in doc["items"].items()}
-    except (KeyError, TypeError, AttributeError) as exc:
+        vocabulary, items = doc["vocabulary"], doc["items"]
+    except (KeyError, TypeError) as exc:
         raise InputFormatError(
             f"{path}: expected JSON object with 'vocabulary' and 'items'"
         ) from exc
+    if not isinstance(vocabulary, list):
+        raise InputFormatError(f"{path}: 'vocabulary' is not a JSON list")
+    if not isinstance(items, dict):
+        raise InputFormatError(f"{path}: 'items' is not a JSON object")
     for word in vocabulary:
         if not isinstance(word, str):
             raise InputFormatError(f"{path}: keyword {word!r} is not a JSON string")
-    # every emitted word must be one of these strings, so it is a string too
+    # every emitted word must be one of these strings; a list would not hash
     vocab_set = set(vocabulary)
     for item, words in items.items():
+        if not isinstance(words, list):
+            raise InputFormatError(f"{path}: item {item!r} is not a JSON list")
         for word in words:
-            if word not in vocab_set:
+            if not isinstance(word, str) or word not in vocab_set:
                 raise InputFormatError(
                     f"{path}: item {item!r} emits {word!r}, which is not in "
                     f"the vocabulary"
                 )
-    return KeywordReport(items=items, vocabulary=vocabulary)
+    items = {item: tuple(words) for item, words in items.items()}
+    return KeywordReport(items=items, vocabulary=tuple(vocabulary))
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +778,8 @@ def main(argv=None) -> int:
 
     if args.command == "discover" and args.method == "mmc" and not args.labels:
         parser.error("--labels is required for --method mmc")
+    if args.command == "discover" and args.method != "mmc" and args.labels:
+        parser.error(f"--labels is accepted only with --method mmc, not {args.method}")
     if args.func is cmd_bench_noise_curve and args.max_noise % args.step:
         parser.error(
             f"--max-noise ({args.max_noise}) must be a multiple of --step ({args.step})"

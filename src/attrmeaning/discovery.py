@@ -354,7 +354,7 @@ def train_mmc(
     """Train the max-margin coder on labelled features.
 
     Codes are initialized from random hyperplanes (:func:`train_lsh` with
-    the same seed), refined for `epochs` - 1 rounds of two updates:
+    the same seed), refined for at most `epochs` - 1 rounds of two updates:
 
     (a) fit one-vs-rest hinge classifiers on the current codes;
     (c) greedily flip any training bit whose flip strictly lowers the total
@@ -363,7 +363,10 @@ def train_mmc(
     then (b) each bit's affine hyperplane is fit once on the features to
     predict the final codes.  That is the same model as refitting (b)
     between (a) and (c) in each of `epochs` rounds: only the last refit,
-    made before the last round's flips, would be kept.
+    made before the last round's flips, would be kept.  The rounds stop at
+    the first flip phase that changes no bit: the next round would start
+    from the same codes, so its deterministic fit (a) and flips (c) would
+    repeat this one exactly, and so would every round after it.
     The flip phase never increases the category hinge loss, and the whole
     procedure is deterministic for a fixed seed.  The returned model encodes
     by hyperplane response sign.
@@ -390,7 +393,10 @@ def train_mmc(
 
     for _ in range(hp.epochs - 1):
         Wc, bc = _fit_hinge(B, Y, hp.regularization, hp.learning_rate)
+        B_before = B.copy()
         _flip_bits(B, Wc, bc, Y)
+        if np.array_equal(B, B_before):
+            break  # a fixed point: every later round would repeat this one
     H = np.column_stack(_fit_hinge(F, B, hp.regularization, hp.learning_rate))
 
     return MmcModel(

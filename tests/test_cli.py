@@ -108,6 +108,22 @@ def test_discover_mmc_requires_labels(tmp_path, features_csv, capsys):
     assert "--labels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["lsh", "sh"])
+def test_discover_labels_only_with_mmc(tmp_path, features_csv, labels_csv, method, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "discover", "--method", method, "--bits", "2",
+                "--features", features_csv, "--labels", labels_csv,
+                "--model-out", str(tmp_path / "m.json"),
+                "--codes-out", str(tmp_path / "z.csv"),
+            ]
+        )
+    assert exc.value.code == 2
+    assert "--labels is accepted only with --method mmc" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "z.csv").exists()
+
+
 def test_discover_label_count_mismatch_names_the_labels_file(
     tmp_path, features_csv, capsys
 ):
@@ -311,6 +327,16 @@ _READER_CASES = [
      "line 4: '-2' is not a bit index"),
     ("read_keywords_json", '{"vocabulary": ["a", true], "items": {"0": ["a"]}}',
      "keyword True is not a JSON string"),
+    ("read_keywords_json", '{"vocabulary": "ab", "items": {"0": ["a"]}}',
+     "'vocabulary' is not a JSON list"),
+    ("read_keywords_json", '{"vocabulary": {"a": 1}, "items": {"0": ["a"]}}',
+     "'vocabulary' is not a JSON list"),
+    ("read_keywords_json", '{"vocabulary": ["a"], "items": [["a"]]}',
+     "'items' is not a JSON object"),
+    ("read_keywords_json", '{"vocabulary": ["a", "b"], "items": {"0": "ab"}}',
+     "item '0' is not a JSON list"),
+    ("read_keywords_json", '{"vocabulary": ["a"], "items": {"0": [["a"]]}}',
+     "item '0' emits ['a'], which is not in the vocabulary"),
 ]
 
 

@@ -15,6 +15,7 @@ from attrmeaning import (
     train_mmc,
     train_sh,
 )
+from attrmeaning import discovery
 from attrmeaning.discovery import _fit_hinge, _flip_bits
 
 # ---------------------------------------------------------------------------
@@ -473,7 +474,7 @@ def _every_epoch_cases():
         F, y = _lifted_mmc_cell(n, dims, c, seed=n)
         cases += [
             pytest.param(F, y, bits, 7, epochs, id=f"lifted{n}x{3 * dims}-e{epochs}")
-            for epochs in (1, 2)
+            for epochs in (1, 2, 20)
         ]
     return cases
 
@@ -486,3 +487,40 @@ def test_mmc_equals_every_epoch_bit_fit(F, y, bits, seed, epochs):
     assert np.array_equal(model.classes, classes_ref)
     Z_ref = np.where(F @ H_ref[:, :-1].T + H_ref[:, -1] >= 0.0, 1, -1)
     assert np.array_equal(encode(model, F), Z_ref)
+
+
+# ---------------------------------------------------------------------------
+# max-margin coder: the rounds end at the first flip phase that changes no bit
+
+
+def _first_round_without_flips(F, y, bits, seed, lam=1e-4, lr=0.1):
+    # reference: run rounds of class fit and row-major flip phase until one
+    # flips nothing, and return that round's number (1-based)
+    classes = np.unique(y)
+    B = np.where(F @ train_lsh(F.shape[1], bits, seed).hyperplanes.T >= 0.0, 1.0, -1.0)
+    Y = np.where(y[:, None] == classes[None, :], 1.0, -1.0)
+    for r in range(1, 100):
+        Wc, bc = _fit_hinge(B, Y, lam, lr)
+        B_before = B.copy()
+        _flip_bits_row_major(B, Wc, bc, Y)
+        if np.array_equal(B, B_before):
+            return r
+    raise AssertionError("no fixed point within 99 rounds")
+
+
+def test_mmc_rounds_stop_at_the_first_flip_phase_that_changes_no_bit(monkeypatch):
+    F, y = _lifted_mmc_cell(160, 24, 4, seed=160)
+    r = _first_round_without_flips(F, y, 4, 7)
+    assert r + 1 < 20  # the fixed point comes before the cap of 20 epochs
+    calls = []
+
+    def counted_fit_hinge(*args):
+        calls.append(None)
+        return _fit_hinge(*args)
+
+    monkeypatch.setattr(discovery, "_fit_hinge", counted_fit_hinge)
+    # r class fits and the one bit fit; at epochs=2 the cap ends the rounds
+    for epochs, fits in ((20, r + 1), (2, 2)):
+        calls.clear()
+        train_mmc(F, y, 4, MmcHyperparams(epochs=epochs), seed=7)
+        assert len(calls) == fits
