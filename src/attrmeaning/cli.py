@@ -37,6 +37,7 @@ import sys
 import tempfile
 import typing
 import warnings
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -232,6 +233,39 @@ def _read_table(path, header):
         raise InputFormatError(f"{path}: file is empty")
 
 
+def _commas_per_line(data: bytes) -> np.ndarray:
+    codes = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(codes == ord("\n"))
+    return np.add.reduceat(codes == ord(","), np.r_[0, ends[:-1] + 1])
+
+
+def _plain_columns(path, header):
+    """The data columns of a table in the plain spelling, else None.
+
+    Plain: no quote and no carriage return; the exact header line first;
+    every line ends in ``\n`` and has one field per header name (so none
+    is blank); no field has surrounding whitespace and no row is all empty.
+    ``_read_table`` reads such text to the same rows, so only the text is
+    checked here; the caller reads any other file with ``_read_table``.
+    """
+    data = _read_bytes(path)
+    width = len(header)
+    if (
+        b'"' in data
+        or b"\r" in data
+        or not data.startswith((",".join(header) + "\n").encode())
+        or not data.endswith(b"\n")
+        or b"\n" + b"," * (width - 1) + b"\n" in data
+        or (_commas_per_line(data) != width - 1).any()
+    ):
+        return None
+    fields = _read_text(path, data).replace("\n", ",").split(",")
+    del fields[:width], fields[-1]  # the header, and the empty field after the last line
+    if fields != list(map(str.strip, fields)):
+        return None
+    return [fields[col::width] for col in range(width)]
+
+
 def read_naming_csv(path) -> NamingTable:
     """``bit,positive_name`` table; empty names mark unnameable bits."""
     entries = {}
@@ -251,13 +285,21 @@ def read_naming_csv(path) -> NamingTable:
     return NamingTable(entries)
 
 
-def read_truth_csv(path, actions_path=None) -> TruthTable:
-    """``item_id,keyword,suitable`` judgments, optionally with an action table."""
+_SUITABLE = {"0": 0, "1": 1}
+
+
+def _read_judgments(path) -> dict:
+    header = ("item_id", "keyword", "suitable")
+    columns = _plain_columns(path, header)
+    if columns is not None:
+        items, keywords, tokens = columns
+        with contextlib.suppress(KeyError):
+            judgments = dict(zip(zip(items, keywords), map(_SUITABLE.__getitem__, tokens)))
+            if len(judgments) == len(items):
+                return judgments
     judgments = {}
-    for ln, (item, keyword, tok) in _read_table(
-        path, ("item_id", "keyword", "suitable")
-    ):
-        if tok not in ("0", "1"):
+    for ln, (item, keyword, tok) in _read_table(path, header):
+        if tok not in _SUITABLE:
             raise InputFormatError(
                 f"{path}: line {ln}: suitable must be 0 or 1, got {tok!r}"
             )
@@ -266,17 +308,34 @@ def read_truth_csv(path, actions_path=None) -> TruthTable:
             raise InputFormatError(
                 f"{path}: line {ln}: duplicate judgment for ({item!r}, {keyword!r})"
             )
-        judgments[key] = int(tok)
+        judgments[key] = _SUITABLE[tok]
+    return judgments
 
-    actions = None
-    if actions_path is not None:
-        actions = {}
-        for ln, (item, action) in _read_table(actions_path, ("item_id", "action")):
-            if item in actions:
-                raise InputFormatError(
-                    f"{actions_path}: line {ln}: duplicate item {item!r}"
-                )
-            actions[item] = action
+
+def _read_actions(path) -> dict:
+    header = ("item_id", "action")
+    columns = _plain_columns(path, header)
+    if columns is not None:
+        actions = dict(zip(*columns))
+        if len(actions) == len(columns[0]):
+            return actions
+    actions = {}
+    for ln, (item, action) in _read_table(path, header):
+        if item in actions:
+            raise InputFormatError(f"{path}: line {ln}: duplicate item {item!r}")
+        actions[item] = action
+    return actions
+
+
+def read_truth_csv(path, actions_path=None) -> TruthTable:
+    """``item_id,keyword,suitable`` judgments, optionally with an action table.
+
+    A table in the plain spelling (see ``_plain_columns``) is read in one
+    pass.  Any other text, or a plain table with a value outside {0, 1} or
+    a key listed twice, is read line by line, and errors name the line.
+    """
+    judgments = _read_judgments(path)
+    actions = None if actions_path is None else _read_actions(actions_path)
     return TruthTable(judgments=judgments, actions=actions)
 
 
@@ -299,18 +358,32 @@ def read_keywords_json(path) -> KeywordReport:
     for word in vocabulary:
         if not isinstance(word, str):
             raise InputFormatError(f"{path}: keyword {word!r} is not a JSON string")
-    # every emitted word must be one of these strings; a list would not hash
+    # every item a list of distinct vocabulary words, checked in one pass (a
+    # word that is not a string is not in the vocabulary, or does not hash);
+    # only a failing report is scanned item by item to name the offender
     vocab_set = set(vocabulary)
-    for item, words in items.items():
-        if not isinstance(words, list):
-            raise InputFormatError(f"{path}: item {item!r} is not a JSON list")
-        for word in words:
-            if not isinstance(word, str) or word not in vocab_set:
-                raise InputFormatError(
-                    f"{path}: item {item!r} emits {word!r}, which is not in "
-                    f"the vocabulary"
-                )
-    items = {item: tuple(words) for item, words in items.items()}
+    lists = items.values()
+    try:
+        valid = (
+            set(map(type, lists)) <= {list}
+            and vocab_set.issuperset(chain.from_iterable(lists))
+            and sum(map(len, map(set, lists))) == sum(map(len, lists))
+        )
+    except TypeError:
+        valid = False
+    if not valid:
+        for item, words in items.items():
+            if not isinstance(words, list):
+                raise InputFormatError(f"{path}: item {item!r} is not a JSON list")
+            for n, word in enumerate(words):
+                if not isinstance(word, str) or word not in vocab_set:
+                    raise InputFormatError(
+                        f"{path}: item {item!r} emits {word!r}, which is not in "
+                        f"the vocabulary"
+                    )
+                if word in words[:n]:
+                    raise InputFormatError(f"{path}: item {item!r} emits {word!r} twice")
+    items = dict(zip(items, map(tuple, lists)))
     return KeywordReport(items=items, vocabulary=tuple(vocabulary))
 
 
@@ -362,11 +435,17 @@ def _publish(outputs) -> None:
         raise
 
 
+_CELL_BYTES = np.frombuffer(b"-1, 1,", np.uint8).reshape(2, 3)
+
+
 def write_attribute_csv(path, Z) -> None:
     Z = as_attribute_matrix(Z)
-    # one row's strings at a time: a whole-matrix tolist() holds a str per cell
-    lines = [",".join(row.tolist()) for row in np.where(Z == 1, "1", "-1")]
-    _write_text(path, "\n".join(lines) + "\n")
+    # each cell as the 3 bytes "-1," or " 1,", with a row's last comma made
+    # its newline; dropping the padding spaces leaves the tokens 1 and -1
+    cells = _CELL_BYTES.take((Z == 1).view(np.uint8), axis=0)
+    cells[:, -1, 2] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(cells.tobytes().replace(b" ", b""))
 
 
 def write_json(path, document) -> None:

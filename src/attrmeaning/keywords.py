@@ -10,7 +10,7 @@ fraction of emitted (item, keyword) pairs a human judged suitable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -81,8 +81,20 @@ class TruthTable:
     actions: dict[str, str] | None = field(default=None)
 
     def __post_init__(self):
+        judgments = dict(self.judgments)
+        keys = judgments.keys()
+        if (
+            set(map(type, keys)) <= {tuple}
+            and set(map(len, keys)) <= {2}
+            and set(map(type, chain.from_iterable(keys))) <= {str}
+            and set(map(type, judgments.values())) <= {int}
+            and set(judgments.values()) <= {0, 1}
+        ):
+            # already pairs of str judged with int 0 or 1: nothing to convert
+            object.__setattr__(self, "judgments", judgments)
+            return
         cleaned = {}
-        for key, suitable in dict(self.judgments).items():
+        for key, suitable in judgments.items():
             item, keyword = key
             suitable = int(suitable)
             if suitable not in (0, 1):
@@ -197,43 +209,56 @@ def generate_keywords(Z, names: NamingTable, item_ids=None) -> KeywordReport:
     return KeywordReport(items=items, vocabulary=vocabulary)
 
 
-def _precision_by(keys, keyed_hits) -> dict:
-    # one pass over (key, hit) pairs; keys with no pair map to None, and
-    # pairs whose key is not listed count toward no slice
-    counts = {key: [0, 0] for key in keys}  # key -> [hits, pairs]
-    for key, hit in keyed_hits:
-        if key in counts:
-            counts[key][0] += hit
-            counts[key][1] += 1
-    return {key: hit / total if total else None for key, (hit, total) in counts.items()}
+def _precision_by(keys, slots, hit) -> dict:
+    # precision of each key's slice of pairs: slots[p] is the index of pair
+    # p's key in keys (len(keys) for a pair of no listed key) and hit[p] says
+    # whether it was judged suitable; keys with no pair map to None
+    total = np.bincount(slots, minlength=len(keys) + 1).tolist()
+    suitable = np.bincount(slots[hit], minlength=len(keys) + 1).tolist()
+    return {key: suitable[i] / total[i] if total[i] else None for i, key in enumerate(keys)}
+
+
+def _slots(keys, values):
+    # index in keys of each value (the last index of a repeated key, which
+    # _precision_by reports), len(keys) for a value not in keys
+    index = {key: i for i, key in enumerate(keys)}
+    return np.fromiter(map(index.get, values, repeat(len(keys))), np.intp, len(values))
 
 
 def evaluate_hit_rate(report: KeywordReport, truth: TruthTable) -> HitRateReport:
     """Score emitted keywords against human suitability judgments.
 
     Counts keyword instances: each emitted (item, keyword) pair contributes
-    once.  Every emitted pair must be judged; missing pairs raise ValueError
-    listing them.  per_keyword and per_action are precisions over the
-    matching slices of emitted pairs.
+    once, and an item listing a keyword twice raises ValueError.  Every
+    emitted pair must be judged; missing pairs raise ValueError listing
+    them.  per_keyword and per_action are precisions over the matching
+    slices of emitted pairs; a pair whose keyword is not in the vocabulary
+    counts toward no keyword.
     """
-    pairs = [
-        (item, keyword)
-        for item, keywords in report.items.items()
-        for keyword in keywords
-    ]
-    hits = [truth.judgments.get(pair) for pair in pairs]
-    missing = [pair for pair, hit in zip(pairs, hits) if hit is None]
-    if missing:
+    lists = report.items.values()
+    lengths = list(map(len, lists))
+    keywords = list(chain.from_iterable(lists))
+    if sum(map(len, map(set, lists))) != len(keywords):
+        item, words = next(
+            (item, words) for item, words in report.items.items() if len(set(words)) < len(words)
+        )
+        word = next(word for n, word in enumerate(words) if word in words[:n])
+        raise ValueError(f"item {item!r} lists keyword {word!r} twice")
+
+    def pairs():
+        return zip(chain.from_iterable(map(repeat, report.items, lengths)), keywords)
+
+    hits = list(map(truth.judgments.get, pairs()))
+    if None in hits:
+        missing = [pair for pair, hit in zip(pairs(), hits) if hit is None]
         listing = ", ".join(f"({item!r}, {kw!r})" for item, kw in missing[:10])
         suffix = "" if len(missing) <= 10 else f" and {len(missing) - 10} more"
         raise ValueError(f"missing suitability judgments for: {listing}{suffix}")
 
-    emitted = len(pairs)
-    suitable = sum(hits)
+    hit = np.array(hits, dtype=bool)
+    emitted, suitable = len(hits), int(np.count_nonzero(hit))
     overall = suitable / emitted if emitted else None
-    per_keyword = _precision_by(
-        report.vocabulary, ((keyword, hit) for (_, keyword), hit in zip(pairs, hits))
-    )
+    per_keyword = _precision_by(report.vocabulary, _slots(report.vocabulary, keywords), hit)
 
     per_action: dict[str, float | None] | None = None
     if truth.actions is not None:
@@ -242,10 +267,10 @@ def evaluate_hit_rate(report: KeywordReport, truth: TruthTable) -> HitRateReport
             raise ValueError(
                 f"items missing from the action table: {', '.join(unmapped[:10])}"
             )
-        per_action = _precision_by(
-            sorted(set(truth.actions.values())),
-            ((truth.actions[item], hit) for (item, _), hit in zip(pairs, hits)),
-        )
+        classes = sorted(set(truth.actions.values()))
+        # every pair of an item falls in its action's slice
+        item_slots = _slots(classes, list(map(truth.actions.__getitem__, report.items)))
+        per_action = _precision_by(classes, np.repeat(item_slots, lengths), hit)
 
     return HitRateReport(
         overall=overall,

@@ -337,6 +337,12 @@ _READER_CASES = [
      "item '0' is not a JSON list"),
     ("read_keywords_json", '{"vocabulary": ["a"], "items": {"0": [["a"]]}}',
      "item '0' emits ['a'], which is not in the vocabulary"),
+    ("read_keywords_json", '{"vocabulary": ["a"], "items": {"0": ["a"], "1": ["c"]}}',
+     "item '1' emits 'c', which is not in the vocabulary"),
+    ("read_keywords_json", '{"vocabulary": ["1", "a"], "items": {"0": ["a", 1]}}',
+     "item '0' emits 1, which is not in the vocabulary"),
+    ("read_keywords_json", '{"vocabulary": ["a", "b"], "items": {"0": [], "1": ["b", "a", "b"]}}',
+     "item '1' emits 'b' twice"),
 ]
 
 
@@ -492,6 +498,151 @@ def test_written_and_benchmark_files_take_the_whole_file_path(tmp_path, monkeypa
     assert cli.read_attribute_csv(codes).shape == (30, 5)
 
 
+def _truth_outcome(read):
+    # the rows in file order, or the error text
+    try:
+        truth = read()
+    except InputFormatError as exc:
+        return str(exc)
+    actions = None if truth.actions is None else list(truth.actions.items())
+    return list(truth.judgments.items()), actions
+
+
+def _both_table_paths(monkeypatch, read):
+    plain = _truth_outcome(read)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_plain_columns", lambda *args: None)
+        by_line = _truth_outcome(read)
+    return plain, by_line
+
+
+def _table_texts(seed):
+    # (header, text, plain?): seeded truth and actions tables in the plain
+    # spelling and in other spellings the line reader accepts or rejects;
+    # plain? says whether the table is read without the line reader
+    rng = np.random.default_rng(seed)
+    words = ["carrying bag", "Walking", "café", "a  b", "x", ""]
+    truth_rows = [
+        (str(rng.integers(0, 50)), words[rng.integers(0, len(words))], str(rng.integers(0, 2)))
+        for _ in range(12)
+    ]
+    truth_rows = list({row[:2]: row for row in truth_rows}.values())
+    action_rows = [(str(i), words[rng.integers(0, len(words))]) for i in range(8)]
+    for header, rows in (
+        ("item_id,keyword,suitable", truth_rows),
+        ("item_id,action", action_rows),
+    ):
+        lines = [header, *(",".join(row) for row in rows)]
+        yield header, "\n".join(lines) + "\n", True
+        yield header, header + "\n", True
+        yield header, "\n".join(lines), False
+        yield header, "\r\n".join(lines) + "\r\n", False
+        yield header, "\n\n".join(lines) + "\n", False
+        yield header, "\n".join(lines[:2] + [f'"{lines[1]}"'] + lines[2:]) + "\n", False
+        yield header, "\n".join(lines[:2] + [" " + lines[2]] + lines[3:]) + "\n", False
+        yield header, "\n".join(lines[:2] + ["," * header.count(",")] + lines[2:]) + "\n", False
+        yield header, "\n".join(lines + [lines[1]]) + "\n", False
+        yield header, "\n".join(lines[:2] + [lines[2] + ",x"] + lines[3:]) + "\n", False
+        yield header, "\n".join(lines[:1] + [lines[1] + "\u3000"] + lines[2:]) + "\n", False
+    yield "item_id,keyword,suitable", "item_id,keyword,suitable\n0,a,2\n", False
+    yield "item_id,keyword,suitable", "item_id,keyword,suitable\n0,a,1\n", True
+    yield "item_id,keyword,suitable", "", False
+    yield "item_id,keyword,suitable", "item_id,keyword\n0,a\n", False
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_plain_table_read_matches_line_reader(tmp_path, monkeypatch, seed):
+    truth = _write(tmp_path / "truth.csv", "item_id,keyword,suitable\n0,a,1\n")
+    path = tmp_path / "table.csv"
+    read_table, line_reads = cli._read_table, []
+
+    def counted(*args):
+        line_reads.append(args)
+        return read_table(*args)
+
+    for header, text, plain in _table_texts(seed):
+        path.write_bytes(text.encode())
+        if header.endswith("suitable"):
+            read = lambda: cli.read_truth_csv(path)  # noqa: E731
+        else:
+            read = lambda: cli.read_truth_csv(truth, path)  # noqa: E731
+        fast, by_line = _both_table_paths(monkeypatch, read)
+        assert fast == by_line, text
+        line_reads.clear()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_table", counted)
+            _truth_outcome(read)
+        assert (not line_reads) == plain, text
+
+
+@pytest.mark.parametrize(
+    "header, text",
+    [
+        ("item_id,keyword,suitable", b"item_id,keyword,suitable\n0,a b,1\n1,a b,0\n"),
+        ("item_id,action", b"item_id,action\n0,walk\n1,walk\n"),
+    ],
+)
+def test_every_byte_mutation_reads_tables_alike(tmp_path, monkeypatch, header, text):
+    # every substitution, deletion and insertion of one byte: both paths must
+    # give the same rows or the same error text (one substitution repeats a
+    # key); any lone byte above 0x7f leaves the text undecodable, so two stand
+    # for them all
+    truth = _write(tmp_path / "truth.csv", "item_id,keyword,suitable\n0,a,1\n")
+    path = tmp_path / "table.csv"
+    if header.endswith("suitable"):
+        read = lambda: cli.read_truth_csv(path)  # noqa: E731
+    else:
+        read = lambda: cli.read_truth_csv(truth, path)  # noqa: E731
+    mutants = {text[:i] + text[i + 1 :] for i in range(len(text))}
+    for i in range(len(text) + 1):
+        for byte in [*range(128), 0xC3, 0xFF]:
+            mutants.add(text[:i] + bytes([byte]) + text[i + 1 :])
+            mutants.add(text[:i] + bytes([byte]) + text[i:])
+    split, plain_reads = cli._plain_columns, []
+
+    def counted(*args):
+        plain_reads.append(split(*args))
+        return plain_reads[-1]
+
+    monkeypatch.setattr(cli, "_plain_columns", counted)
+    for mutant in sorted(mutants):
+        path.write_bytes(mutant)
+        fast, by_line = _both_table_paths(monkeypatch, read)
+        assert fast == by_line, mutant
+    # the mutants exercise the plain path, not only the line reader
+    assert sum(columns is not None for columns in plain_reads) > 5
+
+
+def test_benchmark_shaped_tables_take_the_plain_path(tmp_path, monkeypatch):
+    # written as the benchmark writes its tables: the header and one str()
+    # row per line joined by "\n", plus a final "\n"; keywords hold spaces
+    # and capitals, so the line reader is never needed
+    def write_rows(name, header, rows):
+        text = "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+        return _write(tmp_path / name, text)
+
+    rng = np.random.default_rng(4)
+    words = ("carrying bag", "Walking", "WEARING HAT", "outdoors", "Crowd")
+    judgments = {
+        (str(item), word): int(rng.integers(0, 2))
+        for item in range(300)
+        for word in words
+        if rng.random() < 0.4
+    }
+    actions = {str(item): ("commute", "sport", "meal")[item % 3] for item in range(300)}
+    truth = write_rows("truth.csv", "item_id,keyword,suitable",
+                       [(item, word, v) for (item, word), v in judgments.items()])
+    actions_csv = write_rows("actions.csv", "item_id,action", actions.items())
+
+    def no_line_reader(*args):
+        raise AssertionError("the line reader was used")
+
+    monkeypatch.setattr(cli, "_read_table", no_line_reader)
+    got = cli.read_truth_csv(truth, actions_csv)
+    assert list(got.judgments.items()) == list(judgments.items())
+    assert list(got.actions.items()) == list(actions.items())
+
+
 def test_undecodable_input_names_the_path(tmp_path, meaningful_csv, capsys):
     latin1 = tmp_path / "latin1.csv"
     latin1.write_bytes("1,-1\ncaf\xe9,1\n".encode("latin-1"))
@@ -571,6 +722,17 @@ def test_attribute_csv_bytes(tmp_path):
     path = tmp_path / "z.csv"
     cli.write_attribute_csv(path, [[1, -1], [-1, 1]])
     assert path.read_bytes() == b"1,-1\n-1,1\n"
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (12, 1), (37, 5), (300, 64)])
+def test_attribute_csv_writer_matches_row_join(tmp_path, shape):
+    # the vectorised writer gives the bytes of one ",".join per row
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    Z = np.where(rng.random(shape) < 0.5, 1, -1)
+    rows = (",".join(row.tolist()) for row in np.where(Z == 1, "1", "-1"))
+    path = tmp_path / "z.csv"
+    cli.write_attribute_csv(path, Z)
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
 def test_benchmark_span_targets_exist():

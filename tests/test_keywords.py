@@ -1,5 +1,7 @@
 """Naming, duplicate merging, keyword emission, and hit-rate scoring."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,70 @@ def test_hit_rate_per_action():
 def test_truth_table_validation():
     with pytest.raises(ValueError, match="0 or 1|got"):
         TruthTable(judgments={("a", "x"): 2})
+
+
+@pytest.mark.parametrize(
+    "judgments, expected",
+    [
+        ({("a", "x"): "1"}, {("a", "x"): 1}),
+        ({("a", "x"): True, ("b", "x"): False}, {("a", "x"): 1, ("b", "x"): 0}),
+        ({("a", "x"): np.int64(1)}, {("a", "x"): 1}),
+        ({(4, 5): 0}, {("4", "5"): 0}),
+        ({("a", np.str_("x")): 1}, {("a", "x"): 1}),
+        ({"ax": 1}, {("a", "x"): 1}),
+    ],
+)
+def test_truth_table_normalises_library_input(judgments, expected):
+    truth = TruthTable(judgments=judgments)
+    assert truth.judgments == expected
+    assert {type(v) for v in truth.judgments.values()} == {int}
+    assert {type(part) for key in truth.judgments for part in key} == {str}
+
+
+def test_truth_table_keeps_clean_judgments_and_its_errors():
+    with pytest.raises(ValueError, match=re.escape("for ('a', 'x') must be 0 or 1, got 2")):
+        TruthTable(judgments={("a", "x"): 2, ("b", "x"): 1})
+    with pytest.raises(ValueError):
+        TruthTable(judgments={("a", "x", "y"): 1})
+    # clean judgments are kept as given, in a dict of the table's own
+    clean = {("a", "x"): 1, ("b", "y"): 0}
+    truth = TruthTable(judgments=clean)
+    assert list(truth.judgments.items()) == list(clean.items())
+    assert truth.judgments is not clean
+
+
+def test_hit_rate_rejects_a_keyword_listed_twice():
+    # each emitted pair counts once, so a report cannot list it twice
+    report = KeywordReport(items={"0": ("a", "b", "a")}, vocabulary=("a", "b"))
+    truth = TruthTable(judgments={("0", "a"): 1, ("0", "b"): 0})
+    with pytest.raises(ValueError, match=re.escape("item '0' lists keyword 'a' twice")):
+        evaluate_hit_rate(report, truth)
+
+
+def test_hit_rate_counts_match_a_pair_loop():
+    # seeded reports against the per-pair definition of every precision; "b"
+    # is listed twice, "d" is never emitted and "e" is outside the vocabulary
+    rng = np.random.default_rng(7)
+    vocabulary = ("a", "b", "c", "d", "b")
+    items = {
+        str(i): tuple(w for w in ("a", "b", "c", "e") if rng.random() < 0.5) for i in range(200)
+    }
+    judgments = {
+        (item, w): int(rng.integers(0, 2)) for item, words in items.items() for w in words
+    }
+    actions = {item: ("walk", "run", "sit")[int(item) % 3] for item in items}
+    rates = evaluate_hit_rate(
+        KeywordReport(items=items, vocabulary=vocabulary),
+        TruthTable(judgments=judgments, actions=actions),
+    )
+    pairs = [(item, w) for item, words in items.items() for w in words]
+
+    def precision(selected):
+        hits = [judgments[p] for p in selected]
+        return sum(hits) / len(hits) if hits else None
+
+    assert (rates.emitted, rates.suitable) == (len(pairs), sum(judgments.values()))
+    assert rates.per_keyword == {w: precision([p for p in pairs if p[1] == w]) for w in vocabulary}
+    assert rates.per_action == {
+        a: precision([p for p in pairs if actions[p[0]] == a]) for a in ("run", "sit", "walk")
+    }
