@@ -362,6 +362,9 @@ def read_keywords_json(path) -> KeywordReport:
     # word that is not a string is not in the vocabulary, or does not hash);
     # only a failing report is scanned item by item to name the offender
     vocab_set = set(vocabulary)
+    if len(vocab_set) < len(vocabulary):
+        word = next(w for n, w in enumerate(vocabulary) if w in vocabulary[:n])
+        raise InputFormatError(f"{path}: keyword {word!r} is listed twice in the vocabulary")
     lists = items.values()
     try:
         valid = (

@@ -99,20 +99,19 @@ def lift_features(F, config: LiftConfig | None = None) -> np.ndarray:
     n, d = F.shape
     L = config.period
     width = 2 * config.order + 1
-    out = np.zeros((n, d * width), dtype=np.float64)
+    out = np.empty((n, d, width), dtype=np.float64)
 
-    pos = F > 0.0
-    logF = np.zeros_like(F)
-    logF[pos] = np.log(F[pos])
-
-    out[:, 0::width] = np.sqrt(F * L * _intersection_spectrum(0.0))
+    logF = np.log(F, out=np.zeros_like(F), where=F > 0.0)
+    out[:, :, 0] = np.sqrt(F * L * _intersection_spectrum(0.0))
+    # + 0.0 maps -0.0 to 0.0, so every zero entry gets a +0.0 amplitude
+    two_FL = 2.0 * F * L + 0.0
     for j in range(1, config.order + 1):
-        amp = np.zeros_like(F)
-        amp[pos] = np.sqrt(2.0 * F[pos] * L * _intersection_spectrum(j * L))
+        amp = np.sqrt(two_FL * _intersection_spectrum(j * L))
         phase = j * L * logF  # amp and phase are 0 where F is 0
-        out[:, 2 * j - 1 :: width] = amp * np.cos(phase)
-        out[:, 2 * j :: width] = amp * np.sin(phase)
-    return out
+        cos, sin = out[:, :, 2 * j - 1], out[:, :, 2 * j]
+        np.multiply(amp, np.cos(phase, out=cos), out=cos)
+        np.multiply(amp, np.sin(phase, out=sin), out=sin)
+    return out.reshape(n, d * width)
 
 
 @dataclass(frozen=True)
@@ -125,9 +124,11 @@ class PcaModel:
 
 
 def _fit_pca_directions(F: np.ndarray, d: int) -> PcaModel:
-    n = F.shape[0]
+    n, D = F.shape
     mean = F.mean(axis=0)
     X = F - mean
+    if n >= D * 11 // 6:
+        X = np.linalg.qr(X, mode="r")  # dgesdd's own route (see fit_pca)
     _, s, Vt = np.linalg.svd(X, full_matrices=False)
     Vt = Vt[:d]
     # fix the SVD sign ambiguity so repeated fits agree bit for bit
@@ -144,6 +145,11 @@ def fit_pca(F, keep_fraction: float) -> PcaModel:
 
     Requires at least two rows, 0 < keep_fraction <= 1, and enough samples
     to support the requested direction count (d <= min(N, D)).
+
+    From N >= floor(11 D / 6) rows on, LAPACK's dgesdd would factor the
+    centred data X = QR and take the SVD of R; that is done here, so the
+    directions are the same bit for bit but Q and the N x D left singular
+    vectors are never formed.  Below that crossover X itself is factored.
     """
     F = as_feature_matrix(F)
     if F.shape[0] < 2:

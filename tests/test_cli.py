@@ -343,6 +343,8 @@ _READER_CASES = [
      "item '0' emits 1, which is not in the vocabulary"),
     ("read_keywords_json", '{"vocabulary": ["a", "b"], "items": {"0": [], "1": ["b", "a", "b"]}}',
      "item '1' emits 'b' twice"),
+    ("read_keywords_json", '{"vocabulary": ["b", "a", "c", "a", "b"], "items": {"0": ["a"]}}',
+     "keyword 'a' is listed twice in the vocabulary"),
 ]
 
 
@@ -1312,6 +1314,21 @@ def test_keywords_empty_truth_exits_three(tmp_path, keyword_files, capsys):
     )
     assert rc == 3
     assert "missing" in capsys.readouterr().err
+
+
+def test_keywords_vocabulary_listed_twice_exits_three(tmp_path, capsys):
+    kw = _write(tmp_path / "kw.json", '{"vocabulary": ["a", "a"], "items": {"0": ["a"]}}')
+    truth = _write(tmp_path / "truth.csv", "item_id,keyword,suitable\n0,a,1\n")
+    rc = main(
+        [
+            "keywords", "evaluate", "--keywords", kw, "--truth", truth,
+            "--out", str(tmp_path / "e.json"),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{kw}: keyword 'a' is listed twice in the vocabulary" in err
+    assert _left_behind(tmp_path, [kw, truth]) == []
 
 
 def test_naming_csv_header_enforced(tmp_path, keyword_files, capsys):

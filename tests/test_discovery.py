@@ -16,6 +16,7 @@ from attrmeaning import (
     train_sh,
 )
 from attrmeaning import discovery
+from attrmeaning.cli import main
 from attrmeaning.discovery import _fit_hinge, _flip_bits
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,44 @@ def test_lift_clamps_negatives_with_warning():
         out = lift_features(F)
     clean = lift_features(np.maximum(F, 0.0))
     assert np.array_equal(out, clean)
+
+
+def _masked_lift(F, order):
+    # lift_features as first written: gathers the positive entries by mask
+    F = np.array(F, dtype=np.float64)
+    if np.count_nonzero(F < 0.0):
+        F = np.maximum(F, 0.0)
+    n, d = F.shape
+    L = 0.65
+    width = 2 * order + 1
+    out = np.zeros((n, d * width))
+    pos = F > 0.0
+    logF = np.zeros_like(F)
+    logF[pos] = np.log(F[pos])
+    out[:, 0::width] = np.sqrt(F * L * discovery._intersection_spectrum(0.0))
+    for j in range(1, order + 1):
+        amp = np.zeros_like(F)
+        amp[pos] = np.sqrt(2.0 * F[pos] * L * discovery._intersection_spectrum(j * L))
+        phase = j * L * logF
+        out[:, 2 * j - 1 :: width] = amp * np.cos(phase)
+        out[:, 2 * j :: width] = amp * np.sin(phase)
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_lift_matches_the_masked_formula_bit_for_bit(order):
+    rng = np.random.default_rng(order)
+    F = rng.uniform(0.0, 2.0, size=(6, 7))
+    F[rng.random(F.shape) < 0.3] = 0.0
+    F[0] = [0.0, -0.0, 5e-324, 1e300, 0.3, 7.5, 1.0]
+    want = _masked_lift(F, order)
+    got = lift_features(F, LiftConfig(order=order))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # tells -0.0 from 0.0
+    F[1] = [-1.0, -5e-324, -1e300, 0.2, -0.0, 0.0, -0.4]
+    with pytest.warns(LiftClampWarning, match="4 negative"):
+        got = lift_features(F, LiftConfig(order=order))
+    assert got.tobytes() == _masked_lift(F, order).tobytes()
 
 
 def test_lift_config_validation():
@@ -124,6 +163,93 @@ def test_apply_pca_centers_then_projects():
     assert P.mean(axis=0) == pytest.approx(np.zeros(4), abs=1e-9)
     with pytest.raises(ValueError, match="width"):
         apply_pca(model, rng.normal(size=(5, 3)))
+
+
+def _thin_svd_pca(F, d):
+    # _fit_pca_directions before the QR route: one thin SVD of the centred data
+    n = F.shape[0]
+    mean = F.mean(axis=0)
+    _, s, Vt = np.linalg.svd(F - mean, full_matrices=False)
+    Vt = Vt[:d]
+    anchors = np.argmax(np.abs(Vt), axis=1)
+    signs = np.sign(Vt[np.arange(d), anchors])
+    signs[signs == 0] = 1.0
+    Vt = Vt * signs[:, None]
+    variance = (s[:d] ** 2) / (n - 1)
+    return discovery.PcaModel(mean=mean, basis=Vt.T.copy(), explained_variance=variance)
+
+
+def _same_arrays(a, b):
+    # every array field of two model dataclasses, nested ones included
+    for name in a.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        if hasattr(x, "__dataclass_fields__"):
+            _same_arrays(x, y)
+        else:
+            assert np.array_equal(x, y), name
+
+
+def _assert_thin_svd_model(monkeypatch, fit, *args):
+    got = fit(*args)
+    with monkeypatch.context() as m:
+        m.setattr(discovery, "_fit_pca_directions", _thin_svd_pca)
+        _same_arrays(got, fit(*args))
+
+
+_PCA_SHAPES = sorted(
+    {(n, D) for D in (2, 3, 5, 9, 18, 24, 48, 72, 96, 192)
+     for n in (D * 11 // 6 - 1, D * 11 // 6, 2 * D, 10 * D)}
+    | {(3, 5), (4, 9), (10, 24), (40, 96)}  # wide: N < D
+)
+
+
+@pytest.mark.parametrize("n, D", _PCA_SHAPES)
+def test_pca_equals_the_thin_svd_bit_for_bit(monkeypatch, n, D):
+    rng = np.random.default_rng([n, D])
+    F = rng.standard_normal((n, D)) * rng.uniform(0.1, 10.0, size=D)
+    degenerate = F.copy()
+    degenerate[:, -1] = degenerate[:, 0]  # a duplicate column
+    if D > 2:
+        degenerate[:, 1] = 3.0  # a constant column
+    for X in (F, degenerate):
+        for keep in (0.25, 0.5, 1.0):
+            if int(np.ceil(keep * D)) <= min(n, D):
+                _assert_thin_svd_model(monkeypatch, fit_pca, X, keep)
+        _assert_thin_svd_model(monkeypatch, train_sh, X, min(n, D))
+
+
+def test_pca_factors_qr_first_from_the_lapack_crossover(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    F = np.random.default_rng(4).standard_normal((44, 24))
+    fit_pca(F[:43], 0.5)  # 43 < 24 * 11 // 6: dgesdd bidiagonalizes X itself
+    assert calls == []
+    fit_pca(F, 0.5)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("method", ["sh", "mmc"])
+def test_discover_writes_the_thin_svd_bytes(monkeypatch, tmp_path, method):
+    rng = np.random.default_rng(5)
+    features = tmp_path / "features.csv"
+    np.savetxt(features, rng.multinomial(40, np.full(8, 1 / 8), size=60), fmt="%d", delimiter=",")
+    labels = tmp_path / "labels.csv"
+    np.savetxt(labels, rng.integers(0, 3, size=60), fmt="%d")
+
+    def discover(tag):
+        outs = [tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"]
+        argv = [
+            "discover", "--method", method, "--bits", "6", "--features", str(features),
+            "--lift", "--pca-keep", "0.5", "--seed", "3",
+            "--model-out", str(outs[0]), "--codes-out", str(outs[1]),
+        ]
+        assert main(argv + (["--labels", str(labels)] if method == "mmc" else [])) == 0
+        return [p.read_bytes() for p in outs]
+
+    got = discover("qr")
+    monkeypatch.setattr(discovery, "_fit_pca_directions", _thin_svd_pca)
+    assert got == discover("svd")
 
 
 # ---------------------------------------------------------------------------
