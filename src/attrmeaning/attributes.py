@@ -69,8 +69,9 @@ def as_attribute_matrix(Z) -> np.ndarray:
         raise ValueError(f"attribute matrix must be 2-d, got ndim={Z.ndim}")
     if Z.shape[0] < 1 or Z.shape[1] < 1:
         raise ValueError(f"attribute matrix must be non-empty, got shape {Z.shape}")
-    Zf = Z.astype(np.float64, copy=False)
-    bad = (Zf != 1.0) & (Zf != -1.0)
+    # bool and integer entries compare exactly in their own dtype
+    Zc = Z if Z.dtype.kind in "biu" else Z.astype(np.float64, copy=False)
+    bad = (Zc != 1) & (Zc != -1)
     if bad.any():
         i, j = _first_bad(bad)
         raise ValueError(

@@ -61,6 +61,7 @@ from .keywords import (
     KeywordReport,
     NamingTable,
     TruthTable,
+    UncoveredError,
     evaluate_hit_rate,
     generate_keywords,
     merge_duplicates,
@@ -110,10 +111,9 @@ def _put(target, fields, tokens) -> None:
     target[:] = fields
 
 
-def _load_canonical(data, dtype, charset, width, tokens):
-    # one np.loadtxt call for a file spelled only in ``charset``; None unless
-    # the result meets every rule of the line reader (within the attribute
-    # charset, |v| == 1 holds exactly for the tokens 1 and -1)
+def _load_canonical(data, dtype, charset, width):
+    # one np.loadtxt call for a feature or label file spelled only in
+    # ``charset``; None unless the result meets every rule of the line reader
     if data.translate(None, charset):
         return None
     try:
@@ -123,14 +123,64 @@ def _load_canonical(data, dtype, charset, width, tokens):
     except (ValueError, OverflowError, Warning):
         return None
     valid = M.size and width in (None, M.shape[1]) and np.isfinite(M).all()
-    return M if valid and (tokens is None or (np.abs(M) == 1).all()) else None
+    return M if valid else None
 
 
-def _read_matrix(path, dtype, bad_token, charset, width=None, tokens=None) -> np.ndarray:
+_ATTRIBUTE_BLOCK = 1 << 16  # bytes of whole lines that _attributes_from_bytes reads at a time
+
+
+def _attribute_rows(b, width):
+    # the rows of a block of whole lines, or None; see _attributes_from_bytes
+    at = np.flatnonzero(b == ord("1"))
+    at += 1
+    after = b.take(at)  # in range: a block ends in "\n"
+    at -= 2
+    signs = b.take(at).view(np.int8)  # a "1" first in the block reads its final "\n"
+    np.equal(signs, ord("-"), out=signs, casting="unsafe")  # 1 for a negative token
+    if len(b) != 2 * after.size + np.count_nonzero(signs) or after.size % width:
+        return None
+    rows = after.reshape(-1, width)
+    if (rows[:, :-1] != ord(",")).any() or (rows[:, -1] != ord("\n")).any():
+        return None
+    signs *= -2
+    signs += 1
+    return signs.reshape(-1, width)
+
+
+def _attributes_from_bytes(data):
+    # an attribute file spelled as rows of the tokens 1 and -1, each followed
+    # by "," or, last in its row, "\n"; None for any other spelling.  Each
+    # "1", the byte after it and a "-" just before it are distinct positions
+    # once every after-byte is a separator, so if they add up to a block's
+    # length, the block holds nothing else.  Blocks keep the temporaries
+    # small: a mask and an index over the whole file would raise the
+    # process's heap for good
+    if not data.endswith(b"\n"):
+        return None
+    b = np.frombuffer(data, np.uint8)
+    width = data.count(b",", 0, data.index(b"\n")) + 1
+    lines = data.count(b"\n")
+    if 2 * lines * width > len(data):  # fewer than 2 bytes a cell: not canonical
+        return None
+    M = np.empty((lines, width), np.int8)
+    lo = row = 0
+    while lo < len(data):
+        hi = data.find(b"\n", lo + _ATTRIBUTE_BLOCK) + 1 or len(data)
+        rows = _attribute_rows(b[lo:hi], width)
+        if rows is None:
+            return None
+        M[row : row + len(rows)] = rows
+        lo, row = hi, row + len(rows)
+    return M
+
+
+def _read_matrix(path, dtype, bad_token, charset=None, width=None, tokens=None) -> np.ndarray:
     """Headerless comma-separated matrix: one row per non-blank line.
 
-    A file spelled only in ``charset``'s bytes (as the CLI writes codes and
-    as ``str``/``repr`` spell numbers) is converted in one vectorised pass.
+    A file in the canonical spelling is converted whole: attribute files
+    (``tokens`` given) written as the CLI writes codes by counting bytes,
+    others spelled only in ``charset``'s bytes (as ``str``/``repr`` spell
+    numbers) by one ``np.loadtxt`` call.
     Any other file, or one that pass rejects, is read by line: every row
     has ``width`` fields (default: as many as the first row) and is
     converted whole; only a row that fails is scanned field by field, under
@@ -139,7 +189,7 @@ def _read_matrix(path, dtype, bad_token, charset, width=None, tokens=None) -> np
     be finite.  Both ways give the same array or the same error.
     """
     data = _read_bytes(path)
-    M = _load_canonical(data, dtype, charset, width, tokens)
+    M = _attributes_from_bytes(data) if tokens else _load_canonical(data, dtype, charset, width)
     if M is not None:
         return M
     lines = _read_text(path, data).splitlines()
@@ -189,7 +239,6 @@ def read_attribute_csv(path) -> np.ndarray:
         np.int8,
         "line {line}, field {field}: {token!r} is not an attribute token "
         "(expected 1 or -1)",
-        b"1-,\n",
         tokens=_ATTRIBUTE_TOKENS,
     )
 
@@ -721,7 +770,11 @@ def cmd_keywords_generate(args) -> list:
 def cmd_keywords_evaluate(args) -> list:
     report = read_keywords_json(args.keywords)
     truth = read_truth_csv(args.truth, args.actions)
-    rates = evaluate_hit_rate(report, truth)
+    try:
+        rates = evaluate_hit_rate(report, truth)
+    except UncoveredError as exc:
+        path = args.actions if exc.table == "actions" else args.truth
+        raise InputFormatError(f"{path}: {exc}") from None
     return [(args.out, write_json, {"meta": _meta(args), **_plain(rates)})]
 
 
@@ -866,6 +919,12 @@ def main(argv=None) -> int:
         parser.error(
             f"--max-noise ({args.max_noise}) must be a multiple of --step ({args.step})"
         )
+    # a command's output flags (--out, --model-out, ...) must name distinct files
+    outputs = [(f"--{k.replace('_', '-')}", v) for k, v in vars(args).items() if k.endswith("out")]
+    for n, (flag, path) in enumerate(outputs):
+        for other, earlier in outputs[:n]:
+            if os.path.realpath(path) == os.path.realpath(earlier):
+                parser.error(f"{other} and {flag} name the same file: {path}")
 
     try:
         _publish(args.func(args))

@@ -25,7 +25,16 @@ __all__ = [
     "merge_duplicates",
     "generate_keywords",
     "evaluate_hit_rate",
+    "UncoveredError",
 ]
+
+
+class UncoveredError(ValueError):
+    """What a TruthTable's ``table`` ("judgments" or "actions") lacks."""
+
+    def __init__(self, message, table):
+        super().__init__(message)
+        self.table = table
 
 
 def _canonical(name: str) -> str:
@@ -229,11 +238,11 @@ def evaluate_hit_rate(report: KeywordReport, truth: TruthTable) -> HitRateReport
     """Score emitted keywords against human suitability judgments.
 
     Counts keyword instances: each emitted (item, keyword) pair contributes
-    once, and an item listing a keyword twice raises ValueError.  Every
-    emitted pair must be judged; missing pairs raise ValueError listing
-    them.  per_keyword and per_action are precisions over the matching
-    slices of emitted pairs; a pair whose keyword is not in the vocabulary
-    counts toward no keyword.
+    once, and an item listing a keyword twice raises ValueError.  Missing
+    judgments, or items missing from a given action table, raise
+    UncoveredError listing them.  per_keyword and per_action are precisions
+    over the matching slices of emitted pairs; a pair whose keyword is not
+    in the vocabulary counts toward no keyword.
     """
     lists = report.items.values()
     lengths = list(map(len, lists))
@@ -253,7 +262,7 @@ def evaluate_hit_rate(report: KeywordReport, truth: TruthTable) -> HitRateReport
         missing = [pair for pair, hit in zip(pairs(), hits) if hit is None]
         listing = ", ".join(f"({item!r}, {kw!r})" for item, kw in missing[:10])
         suffix = "" if len(missing) <= 10 else f" and {len(missing) - 10} more"
-        raise ValueError(f"missing suitability judgments for: {listing}{suffix}")
+        raise UncoveredError(f"missing suitability judgments for: {listing}{suffix}", "judgments")
 
     hit = np.array(hits, dtype=bool)
     emitted, suitable = len(hits), int(np.count_nonzero(hit))
@@ -264,8 +273,8 @@ def evaluate_hit_rate(report: KeywordReport, truth: TruthTable) -> HitRateReport
     if truth.actions is not None:
         unmapped = sorted(set(report.items) - set(truth.actions))
         if unmapped:
-            raise ValueError(
-                f"items missing from the action table: {', '.join(unmapped[:10])}"
+            raise UncoveredError(
+                f"items missing from the action table: {', '.join(unmapped[:10])}", "actions"
             )
         classes = sorted(set(truth.actions.values()))
         # every pair of an item falls in its action's slice

@@ -124,6 +124,33 @@ def test_discover_labels_only_with_mmc(tmp_path, features_csv, labels_csv, metho
     assert not (tmp_path / "m.json").exists() and not (tmp_path / "z.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, first, second",
+    [
+        (["discover", "--method", "lsh", "--bits", "2"], "--model-out", "--codes-out"),
+        (
+            ["bench", "noise-curve", "--max-noise", "2", "--step", "1", "--trials", "1"],
+            "--out", "--csv-out",
+        ),
+    ],
+)
+def test_two_outputs_naming_one_file_exit_two(
+    tmp_path, monkeypatch, features_csv, meaningful_csv, capsys, command, first, second
+):
+    # a relative and an absolute spelling of one file: the second write
+    # would silently replace the first
+    monkeypatch.chdir(tmp_path)
+    inputs = ["--features", features_csv] if command[0] == "discover" else [
+        "--discovered", meaningful_csv, "--meaningful", meaningful_csv,
+    ]
+    before = _left_behind(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(command + inputs + [first, "out", second, str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"{first} and {second} name the same file" in capsys.readouterr().err
+    assert _left_behind(tmp_path) == before
+
+
 def test_discover_label_count_mismatch_names_the_labels_file(
     tmp_path, features_csv, capsys
 ):
@@ -373,10 +400,14 @@ def _read_outcome(reader, path):
     return M.dtype, M.shape, M.flags.c_contiguous, M.tobytes()
 
 
+_WHOLE_FILE_CONVERTERS = ("_load_canonical", "_attributes_from_bytes")
+
+
 def _both_paths(monkeypatch, reader, path):
     whole_file = _read_outcome(reader, path)
     with monkeypatch.context() as m:
-        m.setattr(cli, "_load_canonical", lambda *args: None)
+        for converter in _WHOLE_FILE_CONVERTERS:
+            m.setattr(cli, converter, lambda *args: None)
         by_line = _read_outcome(reader, path)
     return whole_file, by_line
 
@@ -441,19 +472,77 @@ def test_every_byte_mutation_reads_alike(tmp_path, monkeypatch, reader, text):
         for byte in range(256):
             mutants.add(text[:i] + bytes([byte]) + text[i + 1 :])
             mutants.add(text[:i] + bytes([byte]) + text[i:])
-    load, whole_file_reads = cli._load_canonical, []
+    whole_file_reads = []
 
-    def counted(*args):
-        whole_file_reads.append(load(*args))
-        return whole_file_reads[-1]
+    def counted(convert):
+        def call(*args):
+            whole_file_reads.append(convert(*args))
+            return whole_file_reads[-1]
 
-    monkeypatch.setattr(cli, "_load_canonical", counted)
+        return call
+
+    for converter in _WHOLE_FILE_CONVERTERS:
+        monkeypatch.setattr(cli, converter, counted(getattr(cli, converter)))
     for mutant in sorted(mutants):
         path.write_bytes(mutant)
         whole_file, by_line = _both_paths(monkeypatch, reader, str(path))
         assert whole_file == by_line, mutant
     # the mutants exercise the whole-file path, not only the line reader
     assert sum(M is not None for M in whole_file_reads) > 5
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_byte_mutation_reads_alike_one_line_per_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_ATTRIBUTE_BLOCK", 1)
+    test_every_byte_mutation_reads_alike(
+        tmp_path, monkeypatch, "read_attribute_csv", b"1,-1\n-1,1\n"
+    )
+
+
+@pytest.mark.parametrize("seed, block", [(0, None), (1, None), (2, 1000)])
+def test_attribute_files_take_the_byte_path(tmp_path, monkeypatch, seed, block):
+    # as the CLI writes them and as perfbench joins str() cells by "," and
+    # "\n": converted by counting bytes, equal to the line reader's array;
+    # the 3000x96 matrix spans several blocks
+    if block is not None:
+        monkeypatch.setattr(cli, "_ATTRIBUTE_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "codes.csv"
+    for shape in [(1, 1), (1, 300), (300, 1), (3000, 96)]:
+        Z = np.where(rng.random(shape) < 0.5, 1, -1)
+        joined = "".join(",".join(map(str, row)) + "\n" for row in Z.tolist())
+        cli.write_attribute_csv(path, Z)
+        assert path.read_bytes() == joined.encode()
+        for text in (path.read_bytes(), joined.encode()):
+            path.write_bytes(text)
+            M = cli._attributes_from_bytes(text)
+            assert M is not None and M.dtype == np.int8
+            np.testing.assert_array_equal(M, Z)
+            whole_file, by_line = _both_paths(monkeypatch, "read_attribute_csv", str(path))
+            assert whole_file == by_line
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"1,-1\n-1,1", b"1,-1\n\n-1,1\n", b"\n1,-1\n", b"1,-1\n-1,1\n\n",
+        b"1,-1\r\n-1,1\r\n", b"1, -1\n-1,1\n", b" 1,-1\n", b"+1,-1\n", b"01,-1\n",
+        b"11,-1\n", b"1-1,1\n", b"--1,1\n", b",1,-1\n", b"1,-1,\n", b"1,-1\n1\n",
+        b"1\n1,-1\n", b"\xef\xbb\xbf1,-1\n", b"-\n", b"\n", b"1,-\n", b"-1-1\n",
+        b"1,,1\n", b"1\n-", b"1\n1",
+    ],
+)
+@pytest.mark.parametrize("block", [1, None])
+def test_attribute_spellings_read_as_the_line_reader(tmp_path, monkeypatch, text, block):
+    if block is not None:
+        monkeypatch.setattr(cli, "_ATTRIBUTE_BLOCK", block)  # one line per block
+    path = tmp_path / "codes.csv"
+    path.write_bytes(text)
+    whole_file, by_line = _both_paths(monkeypatch, "read_attribute_csv", str(path))
+    # none of these is the canonical spelling, so the line reader decides
+    assert cli._attributes_from_bytes(text) is None
+    assert whole_file == by_line
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "\n"])
@@ -1314,6 +1403,33 @@ def test_keywords_empty_truth_exits_three(tmp_path, keyword_files, capsys):
     )
     assert rc == 3
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "truth_text, actions_text, flag, message",
+    [
+        (
+            "item_id,keyword,suitable\n1,a,1\n", None, "--truth",
+            "missing suitability judgments for: ('1', 'b')",
+        ),
+        (
+            "item_id,keyword,suitable\n1,a,1\n1,b,0\n", "item_id,action\n2,walk\n",
+            "--actions", "items missing from the action table: 1",
+        ),
+    ],
+)
+def test_keywords_evaluate_names_the_uncovering_table(
+    tmp_path, capsys, truth_text, actions_text, flag, message
+):
+    kw = _write(tmp_path / "kw.json", '{"vocabulary": ["a", "b"], "items": {"1": ["a", "b"]}}')
+    paths = {"--truth": _write(tmp_path / "truth.csv", truth_text)}
+    if actions_text is not None:
+        paths["--actions"] = _write(tmp_path / "actions.csv", actions_text)
+    argv = ["keywords", "evaluate", "--keywords", kw, "--out", str(tmp_path / "e.json")]
+    rc = main(argv + [arg for item in paths.items() for arg in item])
+    assert rc == 3
+    assert f"error: {paths[flag]}: {message}" in capsys.readouterr().err
+    assert _left_behind(tmp_path, [kw, *paths.values()]) == []
 
 
 def test_keywords_vocabulary_listed_twice_exits_three(tmp_path, capsys):
