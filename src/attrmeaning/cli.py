@@ -32,6 +32,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -388,10 +389,24 @@ def read_truth_csv(path, actions_path=None) -> TruthTable:
     return TruthTable(judgments=judgments, actions=actions)
 
 
+def _unique_keys(path):
+    # object_pairs_hook for json.loads: a JSON object as a dict, where a key
+    # given twice is an error instead of its last value silently winning
+    def build(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            key = next(key for n, key in enumerate(keys) if key in keys[:n])
+            raise InputFormatError(f"{path}: key {key!r} appears twice in one JSON object")
+        return obj
+
+    return build
+
+
 def read_keywords_json(path) -> KeywordReport:
     text = _read_text(path)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys(path))
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
     try:
@@ -407,22 +422,25 @@ def read_keywords_json(path) -> KeywordReport:
     for word in vocabulary:
         if not isinstance(word, str):
             raise InputFormatError(f"{path}: keyword {word!r} is not a JSON string")
-    # every item a list of distinct vocabulary words, checked in one pass (a
-    # word that is not a string is not in the vocabulary, or does not hash);
-    # only a failing report is scanned item by item to name the offender
+    # every item a list of distinct vocabulary words, checked once per
+    # distinct list (a word that is not a string is not in the vocabulary, or
+    # does not hash); only a failing report is scanned item by item to name
+    # the offender.  Items with equal lists share one tuple
     vocab_set = set(vocabulary)
     if len(vocab_set) < len(vocabulary):
         word = next(w for n, w in enumerate(vocabulary) if w in vocabulary[:n])
         raise InputFormatError(f"{path}: keyword {word!r} is listed twice in the vocabulary")
     lists = items.values()
-    try:
-        valid = (
-            set(map(type, lists)) <= {list}
-            and vocab_set.issuperset(chain.from_iterable(lists))
-            and sum(map(len, map(set, lists))) == sum(map(len, lists))
-        )
-    except TypeError:
-        valid = False
+    valid = set(map(type, lists)) <= {list}
+    if valid:
+        tuples = list(map(tuple, lists))
+        try:
+            shared = dict(zip(tuples, tuples))
+        except TypeError:  # a list holds a list or an object
+            valid = False
+        else:
+            valid = sum(map(len, map(set, shared))) == sum(map(len, shared))
+            valid = valid and vocab_set.issuperset(chain.from_iterable(shared))
     if not valid:
         for item, words in items.items():
             if not isinstance(words, list):
@@ -435,7 +453,7 @@ def read_keywords_json(path) -> KeywordReport:
                     )
                 if word in words[:n]:
                     raise InputFormatError(f"{path}: item {item!r} emits {word!r} twice")
-    items = dict(zip(items, map(tuple, lists)))
+    items = dict(zip(items, map(shared.__getitem__, tuples)))
     return KeywordReport(items=items, vocabulary=tuple(vocabulary))
 
 
@@ -500,8 +518,83 @@ def write_attribute_csv(path, Z) -> None:
         fh.write(cells.tobytes().replace(b" ", b""))
 
 
+_escape = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str
+_SCALAR_TEXT = {str: _escape, int: int.__repr__, float: float.__repr__}
+
+
+def _float_text(value) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json(value, pad="\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
+    where ``pad`` is the newline and indent of the line ``value`` starts on.
+
+    json's encoder runs in pure Python whenever ``indent`` is set; this one
+    joins a flat list of one scalar type, and a dict's values when they are
+    all tuples of str, at C speed, encoding each distinct tuple once.  Types
+    are tested in json's order; what json rejects raises TypeError, and so
+    does a key that is not a str.
+    """
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        return "[" + inner + _json_items(value, inner) + pad + "]" if value else "[]"
+    if not isinstance(value, dict):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return "{}"
+    keys = sorted(value)
+    values = list(map(value.__getitem__, keys))
+    if set(map(type, values)) == {tuple} and set(map(type, chain.from_iterable(values))) <= {str}:
+        # each distinct list once, laid out as _json lays out a list; only
+        # for str elements, since equal tuples such as (1,) and (True,) can
+        # encode differently
+        words_pad = inner + "  "
+        head, separator, tail = ": [" + words_pad, "," + words_pad, inner + "]"
+        memo = {
+            words: head + separator.join(map(_escape, words)) + tail if words else ": []"
+            for words in set(values)
+        }
+        texts = map(memo.__getitem__, values)
+    else:
+        texts = (": " + _json(v, inner) for v in values)
+    lines = map(str.__add__, map(_escape, keys), texts)
+    return "{" + inner + ("," + inner).join(lines) + pad + "}"
+
+
+def _json_items(values, pad) -> str:
+    # the items of a non-empty list, joined by "," and ``pad``
+    separator = "," + pad
+    kinds = set(map(type, values))
+    scalar = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    if scalar is None:
+        return separator.join([_json(v, pad) for v in values])
+    text = separator.join(map(scalar, values))
+    if scalar is float.__repr__ and "n" in text:  # nan, inf or -inf
+        text = separator.join(map(_float_text, values))
+    return text
+
+
 def write_json(path, document) -> None:
-    _write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
+    _write_text(path, _json(document) + "\n")
 
 
 def write_curve_csv(path, curve) -> None:

@@ -193,7 +193,7 @@ def generate_keywords(Z, names: NamingTable, item_ids=None) -> KeywordReport:
     names.check_width(Z.shape[1])
     n = Z.shape[0]
     if item_ids is None:
-        item_ids = [str(i) for i in range(n)]
+        item_ids = list(map(str, range(n)))
     else:
         item_ids = [str(i) for i in item_ids]
         if len(item_ids) != n:
@@ -206,15 +206,23 @@ def generate_keywords(Z, names: NamingTable, item_ids=None) -> KeywordReport:
     groups = _group_by_name(names)
     vocabulary = tuple(surface for _, surface, _ in groups.values())
 
+    if not vocabulary:
+        return KeywordReport(items=dict.fromkeys(item_ids, ()), vocabulary=())
+
     # a concept fires when any bit carrying its name is positive, so the
     # emission is identical whether or not duplicates were merged first
     fires = np.zeros((n, len(vocabulary)), dtype=bool)
     for g, (_, _, members) in enumerate(groups.values()):
         fires[:, g] = (Z[:, members] == 1).any(axis=1)
-    items = {
-        item: tuple(compress(vocabulary, row))
-        for item, row in zip(item_ids, fires.tolist())
-    }
+    # one keyword tuple per distinct row of fires, shared by every item that
+    # fires that row; each packed row is one opaque value, which np.unique
+    # sorts several times faster than rows compared with axis=0 (the
+    # inverse's shape differs across numpy versions)
+    packed = np.packbits(fires, axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    lists = [tuple(compress(vocabulary, row)) for row in fires[first].tolist()]
+    items = dict(zip(item_ids, map(lists.__getitem__, inverse.ravel().tolist())))
     return KeywordReport(items=items, vocabulary=vocabulary)
 
 
@@ -247,7 +255,8 @@ def evaluate_hit_rate(report: KeywordReport, truth: TruthTable) -> HitRateReport
     lists = report.items.values()
     lengths = list(map(len, lists))
     keywords = list(chain.from_iterable(lists))
-    if sum(map(len, map(set, lists))) != len(keywords):
+    distinct = set(map(tuple, lists))  # checked once per distinct list
+    if sum(map(len, map(set, distinct))) != sum(map(len, distinct)):
         item, words = next(
             (item, words) for item, words in report.items.items() if len(set(words)) < len(words)
         )

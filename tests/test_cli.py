@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from attrmeaning import MmcHyperparams, encode, train_lsh, train_mmc, train_sh
+from attrmeaning import KeywordReport, MmcHyperparams, encode, train_lsh, train_mmc, train_sh
 import attrmeaning.cli as cli
 from attrmeaning.cli import InputFormatError, main, model_from_dict
 
@@ -372,6 +372,10 @@ _READER_CASES = [
      "item '1' emits 'b' twice"),
     ("read_keywords_json", '{"vocabulary": ["b", "a", "c", "a", "b"], "items": {"0": ["a"]}}',
      "keyword 'a' is listed twice in the vocabulary"),
+    ("read_keywords_json", '{"vocabulary": ["a", "b"], "items": {"0": ["a"], "0": ["b"]}}',
+     "key '0' appears twice in one JSON object"),
+    ("read_keywords_json", '{"vocabulary": ["a"], "items": {}, "vocabulary": ["b"]}',
+     "key 'vocabulary' appears twice in one JSON object"),
 ]
 
 
@@ -824,6 +828,111 @@ def test_attribute_csv_writer_matches_row_join(tmp_path, shape):
     path = tmp_path / "z.csv"
     cli.write_attribute_csv(path, Z)
     assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+def _dumps(document):
+    return json.dumps(document, indent=2, sort_keys=True)
+
+
+def test_report_writer_matches_json_dumps_on_benchmark_documents(tmp_path, monkeypatch):
+    # every document one benchmark pass writes, from the benchmark's own
+    # inputs at its small sizes (the keyword group: 6000 items)
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    documents = []
+    write_json = cli.write_json
+
+    def keep(path, document):
+        documents.append(document)
+        write_json(path, document)
+
+    monkeypatch.setattr(cli, "write_json", keep)
+    for command in workloads.build("protocol", 3, str(tmp_path), big=()):
+        assert main(command.argv) == 0, command.argv
+    assert len(documents) == 9
+    for document in documents:
+        assert cli._json(document) == _dumps(document)
+
+
+def _random_document(rng, depth=0):
+    kind = rng.integers(0, 9 if depth < 4 else 5)
+    if kind == 0:
+        return str(rng.choice(["", "a", "é", "x y", "\x00\n", "\ud83d"]))
+    if kind == 1:
+        return int(rng.integers(-(2**62), 2**62)) * int(rng.choice([1, 2**70]))
+    if kind == 2:
+        return float(rng.choice([rng.normal(), 0.0, -0.0, 1e-320, np.nan, np.inf, -np.inf]))
+    if kind == 3:
+        return [None, True, False][rng.integers(0, 3)]
+    if kind == 4:
+        return rng.normal(size=rng.integers(0, 4)).tolist()
+    width = rng.integers(0, 4)
+    if kind == 5:
+        return [_random_document(rng, depth + 1) for _ in range(width)]
+    if kind == 6:
+        return tuple(_random_document(rng, depth + 1) for _ in range(width))
+    if kind == 7:
+        return {f"k{rng.integers(0, 20)}": _random_document(rng, depth + 1) for _ in range(width)}
+    words = ("a", "b", "ü")
+    return {str(i): tuple(words[: rng.integers(0, 4)]) for i in range(width)}
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+class _Str(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, 0.1],
+        {"x": [1.5, float("nan")], "y": [-0.0, 5e-324]},
+        [2**100, -(2**80), 0, True, False, None],
+        [True, False],
+        {"b": True, "i": 1, "n": None, "f": 1.0},
+        ["caf\xe9", "☃", "\x00\x1f\x7f", "\ud800", "\"\\/", "\U0001f600"],
+        {"caf\xe9": 1, "\x01": [], "\ud800": {}, "": ""},
+        [np.float64(0.1), np.float64("nan"), np.float64(-np.inf)],
+        {"f": np.float64(2.5), "l": [np.float64(1.0), 2.0]},
+        [_Int(3), _Str("s"), {_Str("k"): _Int(-1)}],
+        {"0": ("1",), "1": (1,), "2": (True,), "3": ("1",), "4": (1.0,)},
+        {"0": (), "1": ("a", "b"), "2": ("a", "b"), "3": ("b",)},
+        [[], {}, (), [[]], {"e": {}}],
+        [],
+        {},
+        (),
+        "top",
+        7,
+        None,
+        float("nan"),
+    ],
+)
+def test_report_writer_matches_json_dumps(document):
+    assert cli._json(document) == _dumps(document)
+
+
+def test_report_writer_matches_json_dumps_on_random_documents():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        document = _random_document(rng)
+        assert cli._json(document) == _dumps(document)
+
+
+@pytest.mark.parametrize(
+    "document", [np.int64(3), [np.int64(3)], {1, 2}, {"a": {1}}, {1: "a"}, {"a": {2: [1]}}]
+)
+def test_report_writer_rejects_what_json_cannot_write(document):
+    with pytest.raises(TypeError):
+        cli._json(document)
+
+
+def test_report_files_end_in_a_newline(tmp_path):
+    cli.write_json(tmp_path / "r.json", {"a": [1, 2]})
+    assert (tmp_path / "r.json").read_text() == _dumps({"a": [1, 2]}) + "\n"
 
 
 def test_benchmark_span_targets_exist():
@@ -1445,6 +1554,26 @@ def test_keywords_vocabulary_listed_twice_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{kw}: keyword 'a' is listed twice in the vocabulary" in err
     assert _left_behind(tmp_path, [kw, truth]) == []
+
+
+def test_keywords_key_given_twice_exits_three(tmp_path, capsys):
+    text = '{"vocabulary": ["a"], "items": {"0": [], "1": ["a"], "0": ["a"]}}'
+    kw = _write(tmp_path / "kw.json", text)
+    truth = _write(tmp_path / "truth.csv", "item_id,keyword,suitable\n0,a,1\n1,a,1\n")
+    out = ["--out", str(tmp_path / "e.json")]
+    assert main(["keywords", "evaluate", "--keywords", kw, "--truth", truth, *out]) == 3
+    assert f"{kw}: key '0' appears twice in one JSON object" in capsys.readouterr().err
+    assert _left_behind(tmp_path, [kw, truth]) == []
+
+
+def test_keywords_reader_round_trips_and_shares_equal_lists(tmp_path):
+    items = {str(i): (("b", "a"), (), ("a",))[i % 3] for i in range(30)}
+    report = KeywordReport(items=items, vocabulary=("a", "b", "c"))
+    path = tmp_path / "kw.json"
+    cli.write_json(path, cli._plain(report))
+    got = cli.read_keywords_json(path)
+    assert got == report
+    assert got.items["0"] is got.items["3"] and got.items["2"] is got.items["29"]
 
 
 def test_naming_csv_header_enforced(tmp_path, keyword_files, capsys):

@@ -1,6 +1,7 @@
 """Naming, duplicate merging, keyword emission, and hit-rate scoring."""
 
 import re
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -106,6 +107,53 @@ def test_generate_then_merge_agree():
     merged, merged_names = merge_duplicates(Z, names)
     via_merge = generate_keywords(merged, merged_names)
     assert direct == via_merge
+
+
+def _keywords_by_row(Z, names, item_ids):
+    # the per-row definition: a name fires when any bit carrying it is +1
+    groups = {}
+    for idx in sorted(names.entries):
+        name = names.entries[idx]
+        groups.setdefault(name.strip().casefold(), (name, []))[1].append(idx)
+    vocabulary = tuple(name for name, _ in groups.values())
+    items = {}
+    for item, row in zip(item_ids, Z.tolist()):
+        fires = [any(row[b] == 1 for b in bits) for _, bits in groups.values()]
+        items[item] = tuple(compress(vocabulary, fires))
+    return KeywordReport(items=items, vocabulary=vocabulary)
+
+
+@pytest.mark.parametrize(
+    "n, k, named, positive",
+    [
+        (40, 5, 0, 0.5),  # no vocabulary
+        (40, 3, 1, 0.5),  # one keyword
+        (300, 16, 12, 0.3),  # 9 keywords: two packed bytes a row
+        (300, 16, 12, 0.0),  # all-negative codes
+        (1, 16, 12, 0.5),
+        (1, 4, 0, 0.5),
+        (500, 40, 32, 0.2),
+    ],
+)
+@pytest.mark.parametrize("with_ids", [False, True])
+def test_generate_keywords_matches_the_per_row_lists(n, k, named, positive, with_ids):
+    rng = np.random.default_rng(n * 100 + k + named)
+    Z = np.where(rng.random((n, k)) < positive, 1, -1).astype(np.int8)
+    bits = rng.choice(k, size=named, replace=False)
+    # every fourth name repeats the one three before it up to case and spacing
+    names = NamingTable(
+        {int(b): f" W{i - 3} " if i % 4 == 3 else f"w{i}" for i, b in enumerate(bits)}
+    )
+    item_ids = [f"img{i:04d}" for i in rng.permutation(n)] if with_ids else None
+    report = generate_keywords(Z, names, item_ids=item_ids)
+    expected = _keywords_by_row(Z, names, item_ids or [str(i) for i in range(n)])
+    assert len(report.vocabulary) == named - named // 4
+    assert report == expected
+    assert list(report.items) == list(expected.items)
+    # items with equal lists share one tuple
+    first = {}
+    for words in report.items.values():
+        assert first.setdefault(words, words) is words
 
 
 def test_hit_rate_hand_computed():
