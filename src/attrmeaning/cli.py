@@ -30,6 +30,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -38,7 +39,7 @@ import sys
 import tempfile
 import typing
 import warnings
-from itertools import chain, repeat
+from itertools import chain, repeat, takewhile
 
 import numpy as np
 
@@ -64,6 +65,7 @@ from .keywords import (
     TruthTable,
     UncoveredError,
     evaluate_hit_rate,
+    first_repeat,
     generate_keywords,
     merge_duplicates,
 )
@@ -395,8 +397,7 @@ def _unique_keys(path):
     def build(pairs):
         obj = dict(pairs)
         if len(obj) < len(pairs):
-            keys = [key for key, _ in pairs]
-            key = next(key for n, key in enumerate(keys) if key in keys[:n])
+            key = first_repeat(key for key, _ in pairs)
             raise InputFormatError(f"{path}: key {key!r} appears twice in one JSON object")
         return obj
 
@@ -428,7 +429,7 @@ def read_keywords_json(path) -> KeywordReport:
     # the offender.  Items with equal lists share one tuple
     vocab_set = set(vocabulary)
     if len(vocab_set) < len(vocabulary):
-        word = next(w for n, w in enumerate(vocabulary) if w in vocabulary[:n])
+        word = first_repeat(vocabulary)
         raise InputFormatError(f"{path}: keyword {word!r} is listed twice in the vocabulary")
     lists = items.values()
     valid = set(map(type, lists)) <= {list}
@@ -445,14 +446,14 @@ def read_keywords_json(path) -> KeywordReport:
         for item, words in items.items():
             if not isinstance(words, list):
                 raise InputFormatError(f"{path}: item {item!r} is not a JSON list")
-            for n, word in enumerate(words):
-                if not isinstance(word, str) or word not in vocab_set:
-                    raise InputFormatError(
-                        f"{path}: item {item!r} emits {word!r}, which is not in "
-                        f"the vocabulary"
-                    )
-                if word in words[:n]:
-                    raise InputFormatError(f"{path}: item {item!r} emits {word!r} twice")
+            known = list(takewhile(lambda w: isinstance(w, str) and w in vocab_set, words))
+            if (word := first_repeat(known)) is not None:
+                raise InputFormatError(f"{path}: item {item!r} emits {word!r} twice")
+            if len(known) < len(words):
+                raise InputFormatError(
+                    f"{path}: item {item!r} emits {words[len(known)]!r}, which is not in "
+                    f"the vocabulary"
+                )
     items = dict(zip(items, map(shared.__getitem__, tuples)))
     return KeywordReport(items=items, vocabulary=tuple(vocabulary))
 
@@ -807,12 +808,7 @@ def cmd_distance(args) -> list:
 def _parse_method_entries(args, S):
     # --method NAME=PATH entries, each read and checked against --meaningful
     entries = []
-    for spec_pair in args.method or []:
-        name, sep, path = spec_pair.partition("=")
-        if not sep or not name or not path:
-            raise InputFormatError(
-                f"--method expects NAME=PATH, got {spec_pair!r}"
-            )
+    for name, _, path in args.method or []:
         Z = read_attribute_csv(path)
         _check_rows(args.meaningful, S, path, Z)
         entries.append((name, Z))
@@ -892,6 +888,8 @@ def _checked(convert, accept, expected):
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _open_unit_float = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _unit_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_method_entry = _checked(lambda text: text.partition("="), all, "NAME=PATH")  # (name, "=", path)
 
 
 def _add_solver_flags(parser):
@@ -909,6 +907,7 @@ def _add_solver_flags(parser):
     )
 
 
+@functools.cache  # one parser per process; so no flag may have a mutable default
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="attrmeaning",
@@ -936,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model-out", required=True)
     p.add_argument("--codes-out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_discover)
 
     p = sub.add_parser("distance", help="reconstruction distance between two sets")
@@ -957,10 +956,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument(
         "--method",
         action="append",
+        type=_method_entry,
         metavar="NAME=PATH",
         help="named attribute CSV to score (repeatable)",
     )
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_seed, default=0)
     b.add_argument("--left-fraction", type=_open_unit_float, default=0.5)
     b.add_argument("--out", required=True)
     _add_solver_flags(b)
@@ -972,7 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--max-noise", type=_positive_int, required=True)
     b.add_argument("--step", type=_positive_int, required=True)
     b.add_argument("--trials", type=_positive_int, required=True)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_seed, default=0)
     b.add_argument("--out", required=True, help="report JSON path")
     b.add_argument("--csv-out", required=True, help="curve CSV path")
     _add_solver_flags(b)
@@ -1028,7 +1028,3 @@ def main(argv=None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

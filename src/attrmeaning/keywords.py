@@ -242,6 +242,12 @@ def _slots(keys, values):
     return np.fromiter(map(index.get, values, repeat(len(keys))), np.intp, len(values))
 
 
+def first_repeat(values):
+    """The first of ``values`` equal to an earlier one; None if all are distinct."""
+    seen = set()
+    return next((v for v in values if v in seen or seen.add(v)), None)
+
+
 def evaluate_hit_rate(report: KeywordReport, truth: TruthTable) -> HitRateReport:
     """Score emitted keywords against human suitability judgments.
 
@@ -260,8 +266,7 @@ def evaluate_hit_rate(report: KeywordReport, truth: TruthTable) -> HitRateReport
         item, words = next(
             (item, words) for item, words in report.items.items() if len(set(words)) < len(words)
         )
-        word = next(word for n, word in enumerate(words) if word in words[:n])
-        raise ValueError(f"item {item!r} lists keyword {word!r} twice")
+        raise ValueError(f"item {item!r} lists keyword {first_repeat(words)!r} twice")
 
     def pairs():
         return zip(chain.from_iterable(map(repeat, report.items, lengths)), keywords)

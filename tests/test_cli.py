@@ -4,6 +4,7 @@ import importlib.util
 import json
 import pathlib
 import re
+import time
 import warnings
 
 import numpy as np
@@ -370,6 +371,10 @@ _READER_CASES = [
      "item '0' emits 1, which is not in the vocabulary"),
     ("read_keywords_json", '{"vocabulary": ["a", "b"], "items": {"0": [], "1": ["b", "a", "b"]}}',
      "item '1' emits 'b' twice"),
+    ("read_keywords_json", '{"vocabulary": ["a"], "items": {"0": ["a", "a", "c"]}}',
+     "item '0' emits 'a' twice"),
+    ("read_keywords_json", '{"vocabulary": ["a"], "items": {"0": ["c", "a", "a"]}}',
+     "item '0' emits 'c', which is not in the vocabulary"),
     ("read_keywords_json", '{"vocabulary": ["b", "a", "c", "a", "b"], "items": {"0": ["a"]}}',
      "keyword 'a' is listed twice in the vocabulary"),
     ("read_keywords_json", '{"vocabulary": ["a", "b"], "items": {"0": ["a"], "0": ["b"]}}',
@@ -976,7 +981,7 @@ def test_solver_flag_values_exit_two(tmp_path, meaningful_csv, flag, value):
 @pytest.mark.parametrize(
     "flag, value",
     [("--bits", "0"), ("--bits", "-3"), ("--bits", "two"), ("--pca-keep", "0"),
-     ("--pca-keep", "1.5")],
+     ("--pca-keep", "1.5"), ("--seed", "-1")],
 )
 def test_discover_flag_values_exit_two(tmp_path, features_csv, flag, value):
     argv = [
@@ -994,6 +999,8 @@ def test_discover_flag_values_exit_two(tmp_path, features_csv, flag, value):
         ("split-validate", ["--left-fraction", "1.0"]),
         ("noise-curve", ["--max-noise", "2", "--step", "0", "--trials", "1"]),
         ("noise-curve", ["--max-noise", "2", "--step", "2", "--trials", "0"]),
+        ("split-validate", ["--seed", "-1"]),
+        ("noise-curve", ["--max-noise", "2", "--step", "2", "--trials", "1", "--seed", "-1"]),
     ],
 )
 def test_bench_flag_values_exit_two(tmp_path, meaningful_csv, command, flags):
@@ -1323,14 +1330,35 @@ def test_bench_split_validate_with_methods(tmp_path, meaningful_csv):
 
 
 def test_bench_method_flag_format(tmp_path, meaningful_csv, capsys):
-    rc = main(
-        [
-            "bench", "split-validate", "--meaningful", meaningful_csv,
-            "--method", "justaname", "--out", str(tmp_path / "b.json"),
-        ]
-    )
-    assert rc == 3
-    assert "NAME=PATH" in capsys.readouterr().err
+    for entry in ("justaname", "=x", "a="):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "bench", "split-validate", "--meaningful", meaningful_csv,
+                    "--method", entry, "--out", str(tmp_path / "b.json"),
+                ]
+            )
+        assert exc.value.code == 2
+        assert f"argument --method: must be NAME=PATH, got {entry!r}" in capsys.readouterr().err
+        assert _left_behind(tmp_path, [meaningful_csv]) == []
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, meaningful_csv, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "b.json"
+    base = ["bench", "split-validate", "--meaningful", meaningful_csv, "--out", str(out)]
+    with_methods = base + ["--method", f"x={meaningful_csv}", "--method", f"y={meaningful_csv}"]
+    assert main(with_methods) == 0
+    first = out.read_bytes()
+    assert main(base) == 0
+    names = {row["name"] for row in json.loads(out.read_text())["rows"]}
+    assert names == {"MeaningfulAttributeSet", "NonMeaningfulAttributeSet"}
+    for argv, code in ((["--version"], 0), (base + ["--seed", "-1"], 2), (["discover", "--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    assert main(with_methods) == 0
+    assert out.read_bytes() == first
 
 
 def test_bench_noise_curve(tmp_path, meaningful_csv):
@@ -1564,6 +1592,29 @@ def test_keywords_key_given_twice_exits_three(tmp_path, capsys):
     assert main(["keywords", "evaluate", "--keywords", kw, "--truth", truth, *out]) == 3
     assert f"{kw}: key '0' appears twice in one JSON object" in capsys.readouterr().err
     assert _left_behind(tmp_path, [kw, truth]) == []
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"vocabulary": ["a"], "items": {%s, "k49999": []}}'
+         % ", ".join(f'"k{i}": []' for i in range(50_000)),
+         "key 'k49999' appears twice in one JSON object"),
+        ('{"vocabulary": [%s, "w49999"], "items": {}}'
+         % ", ".join(f'"w{i}"' for i in range(50_000)),
+         "keyword 'w49999' is listed twice in the vocabulary"),
+    ],
+    ids=["items-key", "vocabulary-word"],
+)
+def test_keywords_repeat_found_in_linear_time(tmp_path, capsys, text, message):
+    kw = _write(tmp_path / "kw.json", text)
+    truth = _write(tmp_path / "truth.csv", "item_id,keyword,suitable\n")
+    t0 = time.perf_counter()
+    rc = main(["keywords", "evaluate", "--keywords", kw, "--truth", truth,
+               "--out", str(tmp_path / "e.json")])
+    assert time.perf_counter() - t0 < 3.0
+    assert rc == 3
+    assert f"{kw}: {message}" in capsys.readouterr().err
 
 
 def test_keywords_reader_round_trips_and_shares_equal_lists(tmp_path):
