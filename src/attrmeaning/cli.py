@@ -45,15 +45,16 @@ import numpy as np
 
 from . import __version__
 from .attributes import as_attribute_matrix
-from .bench import SplitProtocol, run_noise_curve, run_split_validation
+from .bench import MEANINGFUL_ROW, NON_MEANINGFUL_ROW, SplitProtocol
+from .bench import run_noise_curve, run_split_validation
 from .discovery import (
     LiftClampWarning,
     LshModel,
     MmcModel,
     ShModel,
+    _project_in_place,
     encode,
-    fit_pca,
-    apply_pca,
+    fit_pca, apply_pca,  # not called here; perfbench/spans.py wraps them by name
     lift_features,
     train_lsh,
     train_mmc,
@@ -769,7 +770,7 @@ def cmd_discover(args) -> list:
         for w in caught:
             print(f"note: {w.message}", file=sys.stderr)
     if args.pca_keep is not None:
-        F = apply_pca(fit_pca(F, args.pca_keep), F)
+        F = _project_in_place(F, args.pca_keep)  # F is this command's own copy
 
     if args.method == "lsh":
         model = train_lsh(F.shape[1], args.bits, args.seed)
@@ -1012,6 +1013,13 @@ def main(argv=None) -> int:
         parser.error(
             f"--max-noise ({args.max_noise}) must be a multiple of --step ({args.step})"
         )
+    if args.func is cmd_bench_split_validate:
+        names = [name for name, _, _ in args.method or ()]
+        if (name := first_repeat(names)) is not None:
+            parser.error(f"--method names must be unique: {name!r} is given twice")
+        for name in (MEANINGFUL_ROW, NON_MEANINGFUL_ROW):
+            if name in names:
+                parser.error(f"--method name {name!r} is reserved for an anchor row")
     # a command's output flags (--out, --model-out, ...) must name distinct files
     outputs = [(f"--{k.replace('_', '-')}", v) for k, v in vars(args).items() if k.endswith("out")]
     for n, (flag, path) in enumerate(outputs):

@@ -123,10 +123,19 @@ class PcaModel:
     explained_variance: np.ndarray
 
 
-def _fit_pca_directions(F: np.ndarray, d: int) -> PcaModel:
-    n, D = F.shape
-    mean = F.mean(axis=0)
-    X = F - mean
+def _kept_directions(F: np.ndarray, keep_fraction: float) -> int:
+    if F.shape[0] < 2:
+        raise ValueError(f"PCA needs at least 2 rows, got {F.shape[0]}")
+    if not (0.0 < keep_fraction <= 1.0):
+        raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
+    return int(np.ceil(keep_fraction * F.shape[1]))
+
+
+def _centred_pca(X: np.ndarray, mean: np.ndarray, d: int) -> PcaModel:
+    # the PCA of F from X = F - mean, already centred; X is read, not changed
+    n, D = X.shape
+    if d > min(n, D):
+        raise ValueError(f"cannot keep {d} directions from data of shape {X.shape}")
     if n >= D * 11 // 6:
         X = np.linalg.qr(X, mode="r")  # dgesdd's own route (see fit_pca)
     _, s, Vt = np.linalg.svd(X, full_matrices=False)
@@ -138,6 +147,11 @@ def _fit_pca_directions(F: np.ndarray, d: int) -> PcaModel:
     Vt = Vt * signs[:, None]
     variance = (s[:d] ** 2) / (n - 1)
     return PcaModel(mean=mean, basis=Vt.T.copy(), explained_variance=variance)
+
+
+def _fit_pca_directions(F: np.ndarray, d: int) -> PcaModel:
+    mean = F.mean(axis=0)
+    return _centred_pca(F - mean, mean, d)
 
 
 def fit_pca(F, keep_fraction: float) -> PcaModel:
@@ -152,16 +166,17 @@ def fit_pca(F, keep_fraction: float) -> PcaModel:
     vectors are never formed.  Below that crossover X itself is factored.
     """
     F = as_feature_matrix(F)
-    if F.shape[0] < 2:
-        raise ValueError(f"PCA needs at least 2 rows, got {F.shape[0]}")
-    if not (0.0 < keep_fraction <= 1.0):
-        raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    d = int(np.ceil(keep_fraction * F.shape[1]))
-    if d > min(F.shape):
-        raise ValueError(
-            f"cannot keep {d} directions from data of shape {F.shape}"
-        )
-    return _fit_pca_directions(F, d)
+    return _fit_pca_directions(F, _kept_directions(F, keep_fraction))
+
+
+def _project_in_place(F: np.ndarray, keep_fraction: float) -> np.ndarray:
+    # apply_pca(fit_pca(F, keep_fraction), F) bit for bit; F is the caller's own
+    # float64 matrix, overwritten with F - mean, so the data is held only once
+    F = as_feature_matrix(F)
+    d = _kept_directions(F, keep_fraction)
+    mean = F.mean(axis=0)
+    F -= mean
+    return F @ _centred_pca(F, mean, d).basis
 
 
 def apply_pca(model: PcaModel, F) -> np.ndarray:
@@ -238,10 +253,10 @@ def train_sh(F, bits: int) -> ShModel:
     if F.shape[0] < 2:
         raise ValueError(f"training needs at least 2 rows, got {F.shape[0]}")
     d = min(F.shape[1], bits)
-    if d > min(F.shape):
-        raise ValueError(f"cannot keep {d} directions from data of shape {F.shape}")
-    pca = _fit_pca_directions(F, d)
-    P = (F - pca.mean) @ pca.basis
+    mean = F.mean(axis=0)
+    X = F - mean
+    pca = _centred_pca(X, mean, d)
+    P = X @ pca.basis
     lo = P.min(axis=0)
     hi = P.max(axis=0)
 

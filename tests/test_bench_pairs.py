@@ -61,3 +61,57 @@ def test_summary_keeps_failed_and_traced_runs_apart():
     assert not plain["every_run_correct_with_0_failed"]
     assert summary["protocol, traced"]["run_s"]["change_lower_in_pairs"] == "1/1"
     assert summary["protocol, traced"]["every_run_correct_with_0_failed"]
+
+
+def _pairs(parent, change, metric="peak_rss_mb"):
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        runs += [_run("parent", seed, 0.2, p), _run("change", seed, 0.2, c)]
+    return bench_pairs.summarize(runs, {metric: "lower", "run_s": "lower"})["protocol"][metric]
+
+
+_PARENT = [74.0, 74.1, 74.2, 74.0, 74.1, 74.2, 74.0, 74.1, 74.2, 74.1]  # q3 - q1 = 74.175 - 74.025
+
+
+def test_gain_holds_for_nine_wins_in_ten_with_a_large_gap():
+    change = [69.6] * 9 + [74.5]
+    got = _pairs(_PARENT, change)["gain"]
+    assert got["change_better_in_pairs"] == "9/10"
+    assert got["parent_better_in_pairs"] == "1/10"
+    assert got["median_gap"] == pytest.approx(74.1 - 69.6)
+    assert got["parent_iqr"] == pytest.approx(0.15)
+    assert got["holds"]
+
+
+def test_gain_fails_for_eight_wins_in_ten():
+    got = _pairs(_PARENT, [69.6] * 8 + [74.5, 74.5])["gain"]
+    assert got["change_better_in_pairs"] == "8/10"
+    assert not got["holds"]
+
+
+def test_gain_counts_a_tie_for_neither_side():
+    tied = _pairs(_PARENT, [69.6] * 9 + [_PARENT[9]])["gain"]
+    assert (tied["change_better_in_pairs"], tied["parent_better_in_pairs"]) == ("9/10", "0/10")
+    assert tied["holds"]
+    two_ties = _pairs(_PARENT, [69.6] * 8 + _PARENT[8:])["gain"]
+    assert (two_ties["change_better_in_pairs"], two_ties["parent_better_in_pairs"]) == ("8/10", "0/10")
+    assert not two_ties["holds"]
+
+
+def test_gain_fails_when_the_median_gap_is_within_the_parent_spread():
+    got = _pairs(_PARENT, [p - 0.05 for p in _PARENT])["gain"]
+    assert got["change_better_in_pairs"] == "10/10"
+    assert got["median_gap"] < got["parent_iqr"]
+    assert not got["holds"]
+
+
+def test_gain_reads_the_better_direction_and_needs_ten_pairs():
+    runs = []
+    for seed in range(10):
+        runs += [_run("parent", seed, 0.20 + seed * 1e-3), _run("change", seed, 0.10)]
+    summary = bench_pairs.summarize(runs, {"run_s": "higher"})["protocol"]
+    assert summary["run_s"]["gain"]["change_better_in_pairs"] == "0/10"
+    assert not summary["run_s"]["gain"]["holds"]
+    assert "gain" not in summary["peak_rss_mb"]  # no direction given
+    assert bench_pairs.summarize(runs[:18], {"run_s": "lower"})["protocol"]["run_s"]["gain"]["holds"] is False
+    assert bench_pairs.summarize(runs, {"run_s": "lower"})["protocol"]["run_s"]["gain"]["holds"]

@@ -1343,6 +1343,27 @@ def test_bench_method_flag_format(tmp_path, meaningful_csv, capsys):
         assert _left_behind(tmp_path, [meaningful_csv]) == []
 
 
+@pytest.mark.parametrize("methods, message", [
+    (["a=x.csv", "a=y.csv"], "--method names must be unique: 'a' is given twice"),
+    (["a=x.csv", "MeaningfulAttributeSet=y.csv"],
+     "--method name 'MeaningfulAttributeSet' is reserved for an anchor row"),
+    (["NonMeaningfulAttributeSet=x.csv"],
+     "--method name 'NonMeaningfulAttributeSet' is reserved for an anchor row"),
+])
+def test_bench_method_names_are_usage_errors(tmp_path, capsys, methods, message):
+    # no file named here exists: the names are rejected before any is read
+    argv = ["bench", "split-validate", "--meaningful", str(tmp_path / "s.csv"),
+            "--out", str(tmp_path / "b.json")]
+    for entry in methods:
+        name, _, path = entry.partition("=")
+        argv += ["--method", f"{name}={tmp_path / path}"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert _left_behind(tmp_path) == []
+
+
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, meaningful_csv, capsys):
     assert cli.build_parser() is cli.build_parser()
     out = tmp_path / "b.json"

@@ -1,5 +1,7 @@
 """Coder baselines: lifting, PCA, LSH, spectral hashing, max-margin coder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from attrmeaning import (
     train_mmc,
     train_sh,
 )
-from attrmeaning import discovery
+from attrmeaning import cli, discovery
 from attrmeaning.cli import main
 from attrmeaning.discovery import _fit_hinge, _flip_bits
 
@@ -250,6 +252,125 @@ def test_discover_writes_the_thin_svd_bytes(monkeypatch, tmp_path, method):
     got = discover("qr")
     monkeypatch.setattr(discovery, "_fit_pca_directions", _thin_svd_pca)
     assert got == discover("svd")
+
+
+def _centred_thin_svd(X, mean, d):
+    # _centred_pca without the QR route: one thin SVD of the centred data
+    _, s, Vt = np.linalg.svd(X, full_matrices=False)
+    Vt = Vt[:d]
+    anchors = np.argmax(np.abs(Vt), axis=1)
+    signs = np.sign(Vt[np.arange(d), anchors])
+    signs[signs == 0] = 1.0
+    Vt = Vt * signs[:, None]
+    variance = (s[:d] ** 2) / (X.shape[0] - 1)
+    return discovery.PcaModel(mean=mean, basis=Vt.T.copy(), explained_variance=variance)
+
+
+@pytest.mark.parametrize("n, D", _PCA_SHAPES)
+def test_centred_pca_equals_the_thin_svd_bit_for_bit(monkeypatch, n, D):
+    # fit_pca, train_sh and discover's in-place step all reach _centred_pca
+    rng = np.random.default_rng([n, D, 1])
+    F = rng.standard_normal((n, D)) * rng.uniform(0.1, 10.0, size=D)
+    F[:, -1] = F[:, 0]  # a duplicate column
+    keep = 0.5 if int(np.ceil(0.5 * D)) <= n else 1 / D
+
+    def fits():
+        return (fit_pca(F, keep), train_sh(F, min(n, D)),
+                discovery._project_in_place(F.copy(), keep))
+
+    got = fits()
+    monkeypatch.setattr(discovery, "_centred_pca", _centred_thin_svd)
+    want = fits()
+    _same_arrays(got[0], want[0])
+    _same_arrays(got[1], want[1])
+    assert got[2].tobytes() == want[2].tobytes()
+
+
+def _feature_text(F):
+    return "".join(",".join(map(repr, row)) + "\n" for row in F.tolist())
+
+
+def _composed_discover(tmp_path, features, labels, method, lift, keep):
+    # what `discover` writes, built from the public functions
+    F = cli.read_feature_csv(features)
+    if lift:
+        F = lift_features(F)
+    F = apply_pca(fit_pca(F, keep), F)
+    if method == "lsh":
+        model = train_lsh(F.shape[1], 6, 3)
+    elif method == "sh":
+        model = train_sh(F, 6)
+    else:
+        model = train_mmc(F, cli.read_label_csv(labels), 6, seed=3)
+    cli.write_json(tmp_path / "want.json", cli.model_to_dict(model))
+    cli.write_attribute_csv(tmp_path / "want.csv", encode(model, F))
+    return [(tmp_path / name).read_bytes() for name in ("want.json", "want.csv")]
+
+
+@pytest.mark.parametrize("lift", [False, True])
+@pytest.mark.parametrize("side", [-1, 0, 1])
+def test_discover_writes_the_public_composition_bytes(monkeypatch, tmp_path, lift, side):
+    # N just below, at and above dgesdd's QR crossover for the PCA width
+    dims = 8
+    width = 3 * dims if lift else dims
+    n = width * 11 // 6 + (width if side > 0 else side)
+    rng = np.random.default_rng([n, dims, lift])
+    F = rng.multinomial(30, rng.dirichlet(np.full(dims, 0.5)), size=n) / 30.0
+    assert (F == 0.0).any()
+    features, labels = tmp_path / "features.csv", tmp_path / "labels.csv"
+    features.write_text(_feature_text(F))
+    labels.write_text("".join(f"{c}\n" for c in np.arange(n) % 3))
+    steps = []
+    real_step = cli._project_in_place
+    monkeypatch.setattr(cli, "_project_in_place", lambda F, k: steps.append(k) or real_step(F, k))
+    for keep in (0.5, 1.0):
+        for method in ("lsh", "sh", "mmc"):
+            outs = [tmp_path / "got.json", tmp_path / "got.csv"]
+            argv = ["discover", "--method", method, "--bits", "6", "--features", str(features),
+                    "--pca-keep", str(keep), "--seed", "3",
+                    "--model-out", str(outs[0]), "--codes-out", str(outs[1])]
+            argv += ["--lift"] if lift else []
+            argv += ["--labels", str(labels)] if method == "mmc" else []
+            assert main(argv) == 0
+            got = [p.read_bytes() for p in outs]
+            assert got == _composed_discover(tmp_path, features, labels, method, lift, keep)
+    assert steps == [0.5] * 3 + [1.0] * 3
+
+
+def test_public_coders_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(21)
+    F = rng.multinomial(30, np.full(8, 1 / 8), size=60) / 30.0
+    F[0, 0] = -0.5  # clamped by the lift, on its own copy
+    y = np.arange(60) % 3
+    F.flags.writeable = y.flags.writeable = False  # so any write to an input raises
+    with pytest.warns(LiftClampWarning):
+        L = lift_features(F)
+    L.flags.writeable = False
+    P = apply_pca(fit_pca(L, 0.5), L)
+    P.flags.writeable = False
+    for model in (train_sh(P, 6), train_mmc(P, y, 4, seed=1), train_lsh(P.shape[1], 4, 1)):
+        encode(model, P)
+
+
+def _traced_peak(step, F, keep):
+    # tracemalloc's peak while step(F, keep) runs, above what F already holds
+    tracemalloc.start()
+    try:
+        step(F, keep)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_discover_pca_step_holds_one_centred_copy():
+    # a lifted 3000 x 192 corpus: apply_pca(fit_pca(F, keep), F) allocates
+    # X = F - mean, then QR's copy of it, then F - mean again (about 2 x
+    # F.nbytes); centring F itself leaves QR's copy alone (LAPACK's own work
+    # buffer is allocated outside tracemalloc's view)
+    rng = np.random.default_rng(22)
+    F = lift_features(rng.multinomial(200, rng.dirichlet(np.ones(64)), size=3000) / 200.0)
+    assert F.shape == (3000, 192) and F.dtype == np.float64
+    assert _traced_peak(cli._project_in_place, F, 0.5) <= 1.25 * F.nbytes
 
 
 # ---------------------------------------------------------------------------

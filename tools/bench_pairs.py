@@ -14,6 +14,11 @@ recomputed from all of its runs, and any other key in it is left alone.
 The summary gives, per workload and per metric of the result lines, each
 side's median and quartiles (``statistics.quantiles(n=4,
 method="inclusive")``) and in how many seed pairs the change read lower.
+For each metric whose better direction ``BENCHMARK.json`` (in the change
+checkout) gives, ``gain`` says whether a gain may be claimed: in at least
+ten pairs, the change is better in at least nine tenths of all pairs (a tie
+is a win for neither side), and the medians differ in the better direction
+by more than the parent's quartile spread (q3 - q1).
 """
 
 from __future__ import annotations
@@ -59,13 +64,33 @@ def _spread(values):
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarize(runs):
+def gain(parent, change, better):
+    """The gain rule on paired values (one per seed, same order): a claim
+    holds when the change is better in >= 9/10 of at least ten pairs, ties
+    counting for neither side, and its median beats the parent's by more
+    than the parent's q3 - q1."""
+    sign = {"lower": 1, "higher": -1}[better]
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (p - c) < 0 for p, c in zip(parent, change))
+    spread = _spread(parent)
+    gap = sign * (spread["median"] - statistics.median(change)) if change else None
+    iqr = None if spread["q1"] is None else spread["q3"] - spread["q1"]
+    holds = len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gap > iqr
+    return {"better": better, "change_better_in_pairs": f"{wins}/{len(parent)}",
+            "parent_better_in_pairs": f"{losses}/{len(parent)}",
+            "median_gap": gap, "parent_iqr": iqr, "holds": holds}
+
+
+def summarize(runs, better=None):
     """Per group (workload, plus ", traced" for --trace 1 runs) and metric:
-    each side's spread and the pairs in which the change read lower.
+    each side's spread, the pairs in which the change read lower and, for a
+    metric named in ``better`` (metric -> "lower" or "higher"), the gain
+    rule over the paired runs.
 
     A pair is the parent and change run of one seed; a run without a result
     line counts as failed and joins no pair.
     """
+    better = better or {}
     groups = {}
     for run in runs:
         name = run["workload"] + (", traced" if run["trace"] else "")
@@ -98,6 +123,9 @@ def summarize(runs):
                 "change_lower_in_pairs": f"{lower}/{len(paired)}",
                 "change_median_over_parent_median": ratio,
             }
+            if metric in better:
+                entry[metric]["gain"] = gain([values["parent"][s] for s in paired],
+                                             [values["change"][s] for s in paired], better[metric])
         entry["runs"] = len(members)
         entry["every_run_correct_with_0_failed"] = all(
             result is not None and result.get("correct") is True and result.get("failed") == 0
@@ -118,6 +146,9 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="BENCH_*.json to create or extend")
     args = parser.parse_args(argv)
 
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = json.load(fh)
+    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared.get("per_layer", [])}
     document = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -133,7 +164,7 @@ def main(argv=None):
             runs.append(run)
             print(f"{args.workload} seed {seed} {side}: {run['line']}", flush=True)
         # written after every pair, so an interrupted run keeps the pairs done
-        document["summary"] = summarize(runs)
+        document["summary"] = summarize(runs, better)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(document, fh, indent=1)
             fh.write("\n")
