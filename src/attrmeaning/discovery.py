@@ -149,11 +149,6 @@ def _centred_pca(X: np.ndarray, mean: np.ndarray, d: int) -> PcaModel:
     return PcaModel(mean=mean, basis=Vt.T.copy(), explained_variance=variance)
 
 
-def _fit_pca_directions(F: np.ndarray, d: int) -> PcaModel:
-    mean = F.mean(axis=0)
-    return _centred_pca(F - mean, mean, d)
-
-
 def fit_pca(F, keep_fraction: float) -> PcaModel:
     """Fit a PCA projection keeping ceil(keep_fraction * D) directions.
 
@@ -166,13 +161,13 @@ def fit_pca(F, keep_fraction: float) -> PcaModel:
     vectors are never formed.  Below that crossover X itself is factored.
     """
     F = as_feature_matrix(F)
-    return _fit_pca_directions(F, _kept_directions(F, keep_fraction))
+    mean = F.mean(axis=0)
+    return _centred_pca(F - mean, mean, _kept_directions(F, keep_fraction))
 
 
 def _project_in_place(F: np.ndarray, keep_fraction: float) -> np.ndarray:
-    # apply_pca(fit_pca(F, keep_fraction), F) bit for bit; F is the caller's own
-    # float64 matrix, overwritten with F - mean, so the data is held only once
-    F = as_feature_matrix(F)
+    # apply_pca(fit_pca(F, keep_fraction), F) bit for bit on the caller's own
+    # checked float64 F, overwritten with F - mean so the data is held once
     d = _kept_directions(F, keep_fraction)
     mean = F.mean(axis=0)
     F -= mean

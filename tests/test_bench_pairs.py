@@ -115,3 +115,31 @@ def test_gain_reads_the_better_direction_and_needs_ten_pairs():
     assert "gain" not in summary["peak_rss_mb"]  # no direction given
     assert bench_pairs.summarize(runs[:18], {"run_s": "lower"})["protocol"]["run_s"]["gain"]["holds"] is False
     assert bench_pairs.summarize(runs, {"run_s": "lower"})["protocol"]["run_s"]["gain"]["holds"]
+
+
+def _gain(runs):
+    return bench_pairs.summarize(runs, {"peak_rss_mb": "lower"})["protocol"]["peak_rss_mb"]["gain"]
+
+
+def test_gain_counts_every_seed_run():
+    runs = []
+    for seed, (p, c) in enumerate(zip(_PARENT + [74.1], [69.6] * 9 + [74.5, 69.6])):
+        runs += [_run("parent", seed, 0.2, p), _run("change", seed, 0.2, c)]
+    runs[-2] = {**runs[-2], "line": "Traceback (most recent call last):"}
+    got = _gain(runs)  # 9 wins in the 10 pairs, but 11 seeds were run
+    assert got["change_better_in_pairs"] == "9/11"
+    assert got["failed_runs"] == {"parent": 1, "change": 0}
+    assert not got["holds"]
+
+
+def test_gain_fails_when_the_change_fails_more_runs():
+    runs = []
+    for seed, p in enumerate(_PARENT):
+        runs += [_run("parent", seed, 0.2, p), _run("change", seed, 0.2, 69.6)]
+    runs[1] = _run("change", 0, 0.2, 69.6, correct=False)
+    got = _gain(runs)
+    assert got["change_better_in_pairs"] == "10/10"
+    assert got["failed_runs"] == {"parent": 0, "change": 1}
+    assert not got["holds"]
+    runs[0] = _run("parent", 0, 0.2, _PARENT[0], correct=False)  # one failure on each side
+    assert _gain(runs)["holds"]

@@ -167,11 +167,10 @@ def test_apply_pca_centers_then_projects():
         apply_pca(model, rng.normal(size=(5, 3)))
 
 
-def _thin_svd_pca(F, d):
-    # _fit_pca_directions before the QR route: one thin SVD of the centred data
-    n = F.shape[0]
-    mean = F.mean(axis=0)
-    _, s, Vt = np.linalg.svd(F - mean, full_matrices=False)
+def _thin_svd_pca(X, mean, d):
+    # _centred_pca before the QR route: one thin SVD of the centred data X
+    n = X.shape[0]
+    _, s, Vt = np.linalg.svd(X, full_matrices=False)
     Vt = Vt[:d]
     anchors = np.argmax(np.abs(Vt), axis=1)
     signs = np.sign(Vt[np.arange(d), anchors])
@@ -181,21 +180,25 @@ def _thin_svd_pca(F, d):
     return discovery.PcaModel(mean=mean, basis=Vt.T.copy(), explained_variance=variance)
 
 
-def _same_arrays(a, b):
-    # every array field of two model dataclasses, nested ones included
-    for name in a.__dataclass_fields__:
-        x, y = getattr(a, name), getattr(b, name)
-        if hasattr(x, "__dataclass_fields__"):
-            _same_arrays(x, y)
-        else:
-            assert np.array_equal(x, y), name
+def _same_arrays(a, b, name=None):
+    # two arrays, or every array field of two model dataclasses, nested ones included
+    if not hasattr(a, "__dataclass_fields__"):
+        assert np.array_equal(a, b), name
+        return
+    for field in a.__dataclass_fields__:
+        _same_arrays(getattr(a, field), getattr(b, field), field)
 
 
 def _assert_thin_svd_model(monkeypatch, fit, *args):
     got = fit(*args)
     with monkeypatch.context() as m:
-        m.setattr(discovery, "_fit_pca_directions", _thin_svd_pca)
+        m.setattr(discovery, "_centred_pca", _thin_svd_pca)
         _same_arrays(got, fit(*args))
+
+
+def _project_a_copy(F, keep):
+    # discover's PCA step, on a copy of F as discover has its own
+    return discovery._project_in_place(F.copy(), keep)
 
 
 _PCA_SHAPES = sorted(
@@ -217,6 +220,7 @@ def test_pca_equals_the_thin_svd_bit_for_bit(monkeypatch, n, D):
         for keep in (0.25, 0.5, 1.0):
             if int(np.ceil(keep * D)) <= min(n, D):
                 _assert_thin_svd_model(monkeypatch, fit_pca, X, keep)
+                _assert_thin_svd_model(monkeypatch, _project_a_copy, X, keep)
         _assert_thin_svd_model(monkeypatch, train_sh, X, min(n, D))
 
 
@@ -250,40 +254,8 @@ def test_discover_writes_the_thin_svd_bytes(monkeypatch, tmp_path, method):
         return [p.read_bytes() for p in outs]
 
     got = discover("qr")
-    monkeypatch.setattr(discovery, "_fit_pca_directions", _thin_svd_pca)
+    monkeypatch.setattr(discovery, "_centred_pca", _thin_svd_pca)
     assert got == discover("svd")
-
-
-def _centred_thin_svd(X, mean, d):
-    # _centred_pca without the QR route: one thin SVD of the centred data
-    _, s, Vt = np.linalg.svd(X, full_matrices=False)
-    Vt = Vt[:d]
-    anchors = np.argmax(np.abs(Vt), axis=1)
-    signs = np.sign(Vt[np.arange(d), anchors])
-    signs[signs == 0] = 1.0
-    Vt = Vt * signs[:, None]
-    variance = (s[:d] ** 2) / (X.shape[0] - 1)
-    return discovery.PcaModel(mean=mean, basis=Vt.T.copy(), explained_variance=variance)
-
-
-@pytest.mark.parametrize("n, D", _PCA_SHAPES)
-def test_centred_pca_equals_the_thin_svd_bit_for_bit(monkeypatch, n, D):
-    # fit_pca, train_sh and discover's in-place step all reach _centred_pca
-    rng = np.random.default_rng([n, D, 1])
-    F = rng.standard_normal((n, D)) * rng.uniform(0.1, 10.0, size=D)
-    F[:, -1] = F[:, 0]  # a duplicate column
-    keep = 0.5 if int(np.ceil(0.5 * D)) <= n else 1 / D
-
-    def fits():
-        return (fit_pca(F, keep), train_sh(F, min(n, D)),
-                discovery._project_in_place(F.copy(), keep))
-
-    got = fits()
-    monkeypatch.setattr(discovery, "_centred_pca", _centred_thin_svd)
-    want = fits()
-    _same_arrays(got[0], want[0])
-    _same_arrays(got[1], want[1])
-    assert got[2].tobytes() == want[2].tobytes()
 
 
 def _feature_text(F):

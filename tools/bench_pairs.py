@@ -13,12 +13,15 @@ recomputed from all of its runs, and any other key in it is left alone.
 
 The summary gives, per workload and per metric of the result lines, each
 side's median and quartiles (``statistics.quantiles(n=4,
-method="inclusive")``) and in how many seed pairs the change read lower.
-For each metric whose better direction ``BENCHMARK.json`` (in the change
-checkout) gives, ``gain`` says whether a gain may be claimed: in at least
-ten pairs, the change is better in at least nine tenths of all pairs (a tie
-is a win for neither side), and the medians differ in the better direction
-by more than the parent's quartile spread (q3 - q1).
+method="inclusive")``).  For a metric whose better direction
+``BENCHMARK.json`` (in the change checkout) gives, ``gain`` counts the
+pairs each side won and says whether a gain may be claimed: of at least
+ten seeds run, the change is better in at least nine tenths (a tie, or a
+seed where either side printed no result, is a win for neither side), the
+medians differ in the better direction by more than the parent's quartile
+spread (q3 - q1), and the change has no more failed runs than the parent.
+For any other metric, ``change_lower_in_pairs`` counts the pairs in which
+the change read lower.
 """
 
 from __future__ import annotations
@@ -64,31 +67,35 @@ def _spread(values):
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def gain(parent, change, better):
-    """The gain rule on paired values (one per seed, same order): a claim
-    holds when the change is better in >= 9/10 of at least ten pairs, ties
-    counting for neither side, and its median beats the parent's by more
-    than the parent's q3 - q1."""
+def gain(parent, change, better, seeds, failed):
+    """The gain rule on paired values (one per seed, same order) of a group
+    in which ``seeds`` seeds ran and ``failed`` gives each side's failed
+    runs: a claim holds when the change is better in >= 9/10 of the seeds
+    run, at least ten, ties and unpaired seeds counting for neither side,
+    its median beats the parent's by more than the parent's q3 - q1, and
+    the change has no more failed runs than the parent."""
     sign = {"lower": 1, "higher": -1}[better]
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (p - c) < 0 for p, c in zip(parent, change))
     spread = _spread(parent)
     gap = sign * (spread["median"] - statistics.median(change)) if change else None
     iqr = None if spread["q1"] is None else spread["q3"] - spread["q1"]
-    holds = len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gap > iqr
-    return {"better": better, "change_better_in_pairs": f"{wins}/{len(parent)}",
-            "parent_better_in_pairs": f"{losses}/{len(parent)}",
-            "median_gap": gap, "parent_iqr": iqr, "holds": holds}
+    holds = (seeds >= 10 and 10 * wins >= 9 * seeds and gap > iqr
+             and failed["change"] <= failed["parent"])
+    return {"better": better, "change_better_in_pairs": f"{wins}/{seeds}",
+            "parent_better_in_pairs": f"{losses}/{seeds}",
+            "median_gap": gap, "parent_iqr": iqr, "failed_runs": failed, "holds": holds}
 
 
 def summarize(runs, better=None):
     """Per group (workload, plus ", traced" for --trace 1 runs) and metric:
-    each side's spread, the pairs in which the change read lower and, for a
-    metric named in ``better`` (metric -> "lower" or "higher"), the gain
-    rule over the paired runs.
+    each side's spread and, for a metric named in ``better`` (metric ->
+    "lower" or "higher"), the gain rule over the paired runs, else the pairs
+    in which the change read lower.
 
     A pair is the parent and change run of one seed; a run without a result
-    line counts as failed and joins no pair.
+    line joins no pair.  A run fails when it printed no result line, is not
+    correct or reports a failed operation.
     """
     better = better or {}
     groups = {}
@@ -99,9 +106,13 @@ def summarize(runs, better=None):
     for name, members in groups.items():
         results = [(run, _result(run)) for run in members]
         by_side = {"parent": {}, "change": {}}
+        failed = {"parent": 0, "change": 0}
         for run, result in results:
             if result is not None:
                 by_side[run["side"]][run["seed"]] = result
+            if result is None or result.get("correct") is not True or result.get("failed") != 0:
+                failed[run["side"]] += 1
+        seeds_run = len({run["seed"] for run in members})
         seeds = sorted(by_side["parent"].keys() & by_side["change"].keys())
         metrics = sorted({m for side in by_side.values() for r in side.values() for m in r["metrics"]})
         entry = {}
@@ -112,25 +123,21 @@ def summarize(runs, better=None):
                 for side, got in by_side.items()
             }
             paired = [s for s in seeds if s in values["parent"] and s in values["change"]]
-            lower = sum(values["change"][s] < values["parent"][s] for s in paired)
             parent, change = (_spread(list(values[side].values())) for side in ("parent", "change"))
             ratio = None
             if parent["median"] and change["median"] is not None:
                 ratio = change["median"] / parent["median"]
-            entry[metric] = {
-                "parent": parent,
-                "change": change,
-                "change_lower_in_pairs": f"{lower}/{len(paired)}",
-                "change_median_over_parent_median": ratio,
-            }
+            entry[metric] = {"parent": parent, "change": change}
             if metric in better:
                 entry[metric]["gain"] = gain([values["parent"][s] for s in paired],
-                                             [values["change"][s] for s in paired], better[metric])
+                                             [values["change"][s] for s in paired],
+                                             better[metric], seeds_run, failed)
+            else:
+                lower = sum(values["change"][s] < values["parent"][s] for s in paired)
+                entry[metric]["change_lower_in_pairs"] = f"{lower}/{len(paired)}"
+            entry[metric]["change_median_over_parent_median"] = ratio
         entry["runs"] = len(members)
-        entry["every_run_correct_with_0_failed"] = all(
-            result is not None and result.get("correct") is True and result.get("failed") == 0
-            for _, result in results
-        )
+        entry["every_run_correct_with_0_failed"] = not any(failed.values())
         summary[name] = entry
     return summary
 
