@@ -898,13 +898,14 @@ def _add_solver_flags(parser):
         "--tolerance",
         type=_open_unit_float,
         default=1e-8,
-        help="relative objective-change tolerance (default 1e-8)",
+        help="convex solver stops once its Frank-Wolfe gap certifies "
+        "f - f* <= TOLERANCE * max(f, 1) (default 1e-8)",
     )
     parser.add_argument(
         "--max-iterations",
         type=_positive_int,
         default=10_000,
-        help="projected-gradient iteration cap (default 10000)",
+        help="accelerated projected-gradient iteration cap (default 10000)",
     )
 
 
@@ -1029,10 +1030,11 @@ def main(argv=None) -> int:
 
     try:
         _publish(args.func(args))
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # first, since LinAlgError is a ValueError
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (InputFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     return EXIT_OK

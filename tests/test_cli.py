@@ -12,6 +12,7 @@ import pytest
 
 from attrmeaning import KeywordReport, MmcHyperparams, encode, train_lsh, train_mmc, train_sh
 import attrmeaning.cli as cli
+import attrmeaning.subspace as subspace
 from attrmeaning.cli import InputFormatError, main, model_from_dict
 
 # ---------------------------------------------------------------------------
@@ -1089,6 +1090,36 @@ def test_failed_write_keeps_earlier_outputs(tmp_path, meaningful_csv, monkeypatc
     assert out.read_text() == "earlier report\n"
     assert csv_out.read_text() == "earlier curve\n"
     assert _left_behind(tmp_path, [meaningful_csv, str(out), str(csv_out)]) == []
+
+
+@pytest.mark.parametrize(
+    "error",
+    [FloatingPointError("residual is not finite"),
+     np.linalg.LinAlgError("Eigenvalues did not converge")],
+    ids=["floating-point", "linalg"],
+)
+@pytest.mark.parametrize("command", ["distance-plain", "distance-cvx", "noise-curve"])
+def test_numeric_failure_exits_four_and_leaves_no_output(
+    tmp_path, meaningful_csv, capsys, monkeypatch, command, error
+):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(subspace, "_solve_plain", fail)
+    monkeypatch.setattr(subspace, "_solve_cvx", fail)
+    out = ["--out", str(tmp_path / "o.json")]
+    argv = {
+        "distance-plain": ["distance", "--meaningful", meaningful_csv,
+                           "--discovered", meaningful_csv, "--mode", "plain", *out],
+        "distance-cvx": ["distance", "--meaningful", meaningful_csv,
+                         "--discovered", meaningful_csv, "--mode", "cvx", *out],
+        "noise-curve": ["bench", "noise-curve", "--discovered", meaningful_csv,
+                        "--meaningful", meaningful_csv, "--max-noise", "2", "--step", "2",
+                        "--trials", "1", *out, "--csv-out", str(tmp_path / "o.csv")],
+    }[command]
+    assert main(argv) == cli.EXIT_NUMERIC == 4
+    assert capsys.readouterr().err == f"numeric error: {error}\n"
+    assert _left_behind(tmp_path, [meaningful_csv]) == []
 
 
 def test_commands_leave_writing_to_publish(

@@ -82,6 +82,66 @@ def test_distance_row_mismatch_names_both_counts():
         distance_cvx(S, D)
 
 
+# +-1 banks with the dependencies a labelled set can hold: a duplicated, a
+# negated, a one-row-different and a product column, plus N < J and J = 1
+def _dependent_banks():
+    rng = np.random.default_rng(21)
+    for trial in range(60):
+        n = int(rng.integers(3, 40))
+        S = random_attribute_set(n, int(rng.integers(1, 10)), seed=1000 + trial)
+        a, b = S[:, 0], S[:, -1]
+        near = a.copy()
+        near[rng.integers(n)] *= -1
+        extra = ([], [a], [-a], [near], [a * b])[trial % 5]
+        yield np.column_stack([S, *extra]).astype(np.int8)
+    for n, j in ((3, 12), (5, 9), (2, 2), (30, 1), (1, 1)):
+        yield random_attribute_set(n, j, seed=n * j)
+
+
+def test_plain_matches_lstsq_on_dependent_banks():
+    eps = np.finfo(np.float64).eps
+    for S in _dependent_banks():
+        n = S.shape[0]
+        D = np.concatenate([S, random_attribute_set(n, 4, seed=n)], axis=1)
+        result = distance_plain(S, D)
+        Sf, Df = S.astype(np.float64), D.astype(np.float64)
+        R = np.linalg.lstsq(Sf, Df, rcond=max(S.shape) * eps)[0]
+        resid = np.sum((Sf @ R - Df) ** 2, axis=0)
+        assert np.all(
+            np.abs(result.per_attribute_residuals - resid) <= 1e-9 * np.maximum(resid, 1.0)
+        )
+        # the same minimum-norm coefficients
+        assert np.abs(result.coefficients - R).max() <= 1e-9 * max(np.abs(R).max(), 1.0)
+
+
+# a 20 x 20 +-1 bank (one row per integer, bit 19 first, 1 for +1) from a
+# seeded local search that shrank its smallest singular value: the smallest
+# eigenvalue of its Gram matrix is about 2e-10 of the largest, below
+# sqrt(eps) but far above the rank threshold
+_NO_GAP_BANK = (
+    0xE07FF, 0x67E50, 0x07677, 0xEBC36, 0xCE931, 0x4CABA, 0xABBB2, 0xF109C, 0xC51E1, 0xF9735,
+    0x0D99B, 0x6C5E6, 0x8D842, 0xFD17E, 0x569BB, 0x01BE4, 0x01CBD, 0xB857F, 0xE962F, 0xBCD3F,
+)
+
+
+def test_plain_falls_back_to_lstsq_without_a_spectral_gap(monkeypatch):
+    S = np.array([[1 if row >> (19 - c) & 1 else -1 for c in range(20)] for row in _NO_GAP_BANK],
+                 dtype=np.int8)
+    eps = np.finfo(np.float64).eps
+    w = np.linalg.eigvalsh(S.T.astype(np.float64) @ S)
+    assert 20 * eps * w[-1] < w[0] < np.sqrt(eps) * w[-1]
+    lstsq, calls = np.linalg.lstsq, []
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+    D = random_attribute_set(20, 6, seed=5)
+    result = distance_plain(S, D)
+    assert len(calls) == 1
+    R = lstsq(S.astype(np.float64), D.astype(np.float64), rcond=20 * eps)[0]
+    assert np.array_equal(result.coefficients, R)
+    # a bank with a clear gap stays on the eigendecomposition
+    distance_plain(random_attribute_set(20, 6, seed=6), D)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # simplex projection
 
@@ -211,6 +271,56 @@ def test_non_convergence_is_reported_not_raised():
     assert fit.iterations == 1
     assert (fit.coefficients >= 0.0).all()
     assert fit.coefficients.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def _certificate_grid():
+    # exact members (f = 0), near-hull and uniform columns (_mixed_columns)
+    # on banks with J = 1, duplicated columns and J above the oracle's limit
+    for trial, (n, j) in enumerate([(12, 1), (20, 2), (30, 3), (25, 3), (40, 4), (60, 6),
+                                    (150, 12), (80, 8)]):
+        S = random_attribute_set(n, j, seed=40 + trial)
+        if trial in (3, 6):
+            S = np.column_stack([S, S[:, 0]])
+        yield S, _mixed_columns(S, 8, seed=50 + trial)
+
+
+def _fw_gap(S, r, d):
+    # Frank-Wolfe gap and objective of coefficients r for one column d
+    Sf = S.astype(np.float64)
+    e = Sf @ r - d
+    g = Sf.T @ e
+    return 2.0 * (g @ r - g.min()), float(e @ e)
+
+
+def test_converged_certifies_the_optimum():
+    tol = SolverConfig().objective_tolerance
+    for S, D in _certificate_grid():
+        result = distance_cvx(S, D)
+        assert all(result.converged)
+        if S.shape[1] <= 4:
+            optimum = [brute_force_cvx_oracle(S, D[:, col], grid_step=0.02)
+                       for col in range(D.shape[1])]
+        else:
+            tight = distance_cvx(S, D, SolverConfig(objective_tolerance=1e-13, max_iterations=100_000))
+            assert all(tight.converged)
+            optimum = tight.per_attribute_residuals
+        for col, f in enumerate(result.per_attribute_residuals):
+            assert f - optimum[col] <= tol * max(f, 1.0)
+            gap, _ = _fw_gap(S, result.coefficients[:, col], D[:, col])
+            assert gap <= tol * max(f, 1.0) + 1e-9
+
+
+def test_iteration_cap_keeps_coefficients_feasible_and_flags_honest():
+    tol = SolverConfig().objective_tolerance
+    for S, D in _certificate_grid():
+        result = distance_cvx(S, D, SolverConfig(max_iterations=1))
+        assert result.iterations == (1,) * D.shape[1]
+        assert (result.coefficients >= 0.0).all()
+        assert result.coefficients.sum(axis=0) == pytest.approx(1.0, abs=1e-9)
+        for col, flag in enumerate(result.converged):
+            gap, f = _fw_gap(S, result.coefficients[:, col], D[:, col])
+            # the flag says which side of the bound the gap is on
+            assert (gap <= tol * max(f, 1.0) + 1e-9) if flag else (gap > tol * max(f, 1.0) - 1e-9)
 
 
 def test_solver_config_validation():
