@@ -33,7 +33,6 @@ import dataclasses
 import functools
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -524,43 +523,28 @@ _escape = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str
 _SCALAR_TEXT = {str: _escape, int: int.__repr__, float: float.__repr__}
 
 
-def _float_text(value) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
 def _json(value, pad="\n") -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
     where ``pad`` is the newline and indent of the line ``value`` starts on.
 
     json's encoder runs in pure Python whenever ``indent`` is set; this one
     joins a flat list of one scalar type, and a dict's values when they are
-    all tuples of str, at C speed, encoding each distinct tuple once.  Types
-    are tested in json's order; what json rejects raises TypeError, and so
-    does a key that is not a str.
+    all tuples of str, at C speed, encoding each distinct tuple once.  Every
+    other scalar goes to ``json.dumps``, so what json rejects raises
+    TypeError, and so does a key that is not a str.
     """
-    if isinstance(value, str):
-        return _escape(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
     inner = pad + "  "
     if isinstance(value, (list, tuple)):
-        return "[" + inner + _json_items(value, inner) + pad + "]" if value else "[]"
+        if not value:
+            return "[]"
+        separator, kinds = "," + inner, set(map(type, value))
+        scalar = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        text = None if scalar is None else separator.join(map(scalar, value))
+        if text is None or scalar is float.__repr__ and "n" in text:  # nan, inf or -inf
+            text = separator.join([_json(v, inner) for v in value])
+        return "[" + inner + text + pad + "]"
     if not isinstance(value, dict):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        return json.dumps(value)
     if not value:
         return "{}"
     keys = sorted(value)
@@ -580,19 +564,6 @@ def _json(value, pad="\n") -> str:
         texts = (": " + _json(v, inner) for v in values)
     lines = map(str.__add__, map(_escape, keys), texts)
     return "{" + inner + ("," + inner).join(lines) + pad + "}"
-
-
-def _json_items(values, pad) -> str:
-    # the items of a non-empty list, joined by "," and ``pad``
-    separator = "," + pad
-    kinds = set(map(type, values))
-    scalar = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-    if scalar is None:
-        return separator.join([_json(v, pad) for v in values])
-    text = separator.join(map(scalar, values))
-    if scalar is float.__repr__ and "n" in text:  # nan, inf or -inf
-        text = separator.join(map(_float_text, values))
-    return text
 
 
 def write_json(path, document) -> None:
@@ -675,8 +646,9 @@ def model_from_dict(doc: dict):
     """Rebuild a coder model from its JSON document.
 
     Raises InputFormatError when the document is not an object, names an
-    unknown model type, lacks or mistypes a field, or holds an array whose
-    shape does not fit its ``dims`` and ``bits`` or a non-finite value.
+    unknown model type, lacks or mistypes a field, holds an array whose shape
+    does not fit its ``dims`` and ``bits`` or a non-finite value, or has an
+    SH mode on an empty range.
     """
     if not isinstance(doc, dict):
         raise InputFormatError(
@@ -731,10 +703,14 @@ def _check_model_shapes(kind, model) -> None:
             )
         if not np.isfinite(array).all():
             raise InputFormatError(f"{kind} model field {name!r} holds a non-finite value")
-    if kind == "sh" and not ((model.modes[:, 0] >= 0) & (model.modes[:, 0] < p)).all():
-        raise InputFormatError(
-            f"sh model field 'modes' names a direction outside 0..{p - 1}"
-        )
+    if kind != "sh":
+        return
+    dirs = model.modes[:, 0]
+    if not ((dirs >= 0) & (dirs < p)).all():
+        raise InputFormatError(f"sh model field 'modes' names a direction outside 0..{p - 1}")
+    empty = dirs[np.diff(model.ranges[dirs])[:, 0] <= 0]  # encode divides by hi - lo
+    if empty.size:
+        raise InputFormatError(f"sh model field 'ranges' is empty for direction {empty[0]}")
 
 
 # ---------------------------------------------------------------------------

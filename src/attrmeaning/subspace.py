@@ -108,18 +108,6 @@ def _as_pair(S, D):
     return S, D
 
 
-def _as_column_pair(A, z):
-    # validated (A, z) as (N, J) and (N, 1) int8 matrices
-    A = as_attribute_matrix(A)
-    z = as_attribute_vector(z)
-    if A.shape[0] != z.shape[0]:
-        raise ValueError(
-            f"row count mismatch: subspace has {A.shape[0]} rows, "
-            f"attribute has {z.shape[0]}"
-        )
-    return A, z[:, None]
-
-
 def _gram(S, D):
     # the shared setup of both regimes: Sf, G = Sf^T Sf and B = D^T Sf (K, J)
     Sf = S.astype(np.float64)
@@ -241,8 +229,8 @@ def reconstruct_ls(A, z) -> tuple[np.ndarray, float]:
     r : (J,) reconstruction coefficients.
     residual : float, ||A r - z||_2^2.
     """
-    R, resid = _solve_plain(*_as_column_pair(A, z))
-    return R[:, 0], float(resid[0])
+    result = distance_plain(A, as_attribute_vector(z)[:, None])
+    return result.coefficients[:, 0], result.mean_distance
 
 
 def distance_plain(S, D) -> ReconstructionResult:
@@ -289,14 +277,12 @@ def reconstruct_cvx(A, z, config: SolverConfig | None = None) -> SimplexFit:
     Every iterate is the output of the projection, so the returned
     coefficients satisfy the constraints regardless of convergence.
     """
-    R, resid, converged, iterations = _solve_cvx(
-        *_as_column_pair(A, z), config or SolverConfig()
-    )
+    result = distance_cvx(A, as_attribute_vector(z)[:, None], config)
     return SimplexFit(
-        coefficients=R[:, 0],
-        residual=float(resid[0]),
-        converged=bool(converged[0]),
-        iterations=int(iterations[0]),
+        coefficients=result.coefficients[:, 0],
+        residual=result.mean_distance,
+        converged=result.converged[0],
+        iterations=result.iterations[0],
     )
 
 
@@ -311,18 +297,11 @@ def distance_cvx(S, D, config: SolverConfig | None = None) -> ReconstructionResu
     return _result(S, "cvx", *_solve_cvx(S, D, config or SolverConfig()))
 
 
-def _simplex_grid(j: int, divisions: int) -> np.ndarray:
-    # all compositions of `divisions` into j nonnegative parts, scaled to sum 1
-    points = []
-    for cuts in combinations(range(divisions + j - 1), j - 1):
-        prev = -1
-        parts = []
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(divisions + j - 2 - prev)
-        points.append(parts)
-    return np.asarray(points, dtype=np.float64) / divisions
+def _simplex_grid(j: int, m: int) -> np.ndarray:
+    # all compositions of m into j nonnegative parts, scaled to sum 1: the
+    # gaps between j - 1 cuts chosen from m + j - 1 slots
+    cuts = np.array(list(combinations(range(m + j - 1), j - 1)))
+    return (np.diff(cuts, prepend=-1, append=m + j - 1) - 1) / m
 
 
 def brute_force_cvx_oracle(A, z, grid_step: float = 0.01) -> float:
@@ -334,7 +313,7 @@ def brute_force_cvx_oracle(A, z, grid_step: float = 0.01) -> float:
     this exists to validate the iterative solver on small problems, not for
     production use.
     """
-    A, z = _as_column_pair(A, z)
+    A, z = _as_pair(A, as_attribute_vector(z)[:, None])
     if A.shape[1] > 4:
         raise ValueError(
             f"brute-force search is limited to J <= 4 columns, got {A.shape[1]}"

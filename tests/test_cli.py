@@ -1269,6 +1269,11 @@ def test_valid_model_documents_encode():
         (_model_doc("mmc", "hyperplanes", [[1.0, -1.0, True]]),
          "mistyped field: expected numbers"),
         (_model_doc("sh", "pca.mean", "0.5"), "mistyped field: expected numbers"),
+        # a mode on a zero-width or inverted range would divide by zero in encode
+        (_model_doc("sh", "ranges", [[0.5, 0.5]]),
+         "sh model field 'ranges' is empty for direction 0"),
+        (_model_doc("sh", "ranges", [[0.5, -0.5]]),
+         "sh model field 'ranges' is empty for direction 0"),
     ],
 )
 def test_model_from_dict_rejects_malformed_documents(doc, match):

@@ -1,5 +1,7 @@
 """Solver tests anchored to closed forms and a brute-force grid oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from attrmeaning import (
     reconstruct_cvx,
     reconstruct_ls,
 )
+from attrmeaning.subspace import _simplex_grid
 
 # ---------------------------------------------------------------------------
 # unconstrained least squares
@@ -394,6 +397,21 @@ def test_oracle_one_column_is_exact():
     z = np.array([1, 1, 1], dtype=np.int8)
     # the only grid point is r = (1,)
     assert brute_force_cvx_oracle(a.reshape(-1, 1), z) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 5, 10, 20])
+def test_simplex_grid_lists_every_composition_once(j, m):
+    grid = _simplex_grid(j, m)
+    assert grid.dtype == np.float64
+    assert grid.shape == (math.comb(m + j - 1, j - 1), j)
+    parts = np.rint(grid * m).astype(np.int64)
+    # every entry is a nonnegative multiple of 1/m, every row sums to 1
+    assert (parts >= 0).all()
+    np.testing.assert_array_equal(grid, parts / m)
+    np.testing.assert_allclose(grid.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert (parts.sum(axis=1) == m).all()
+    assert len(set(map(tuple, parts.tolist()))) == grid.shape[0]
 
 
 def test_oracle_guards():
