@@ -2,8 +2,8 @@
 
     python3 tools/compare_outputs.py --parent ../parent --change . --seeds 31 32 33
 
-For each workload and seed, ``perfbench/workloads.build`` of the change
-checkout writes the inputs once, in a child process.  Each checkout then
+For every workload of the change checkout's ``perfbench/workloads`` and
+every seed, ``workloads.build`` writes the inputs once.  Each checkout then
 runs the pass's nine commands once, through its own ``src``, in a child
 process whose working directory holds a copy of those inputs under the
 same relative paths, so the ``meta.command`` of every report matches.
@@ -22,18 +22,21 @@ import subprocess
 import sys
 import tempfile
 
-WORKLOADS = ("score", "protocol", "discover-name")
-# argv: perfbench dir, workload, seed, big (JSON, null for the workload's own)
-BUILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); import workloads; "
-         "big = json.loads(sys.argv[4]); "
-         "commands = workloads.build(sys.argv[2], int(sys.argv[3]), '.', "
-         "big=None if big is None else tuple(big)); "
-         "print(json.dumps([[c.argv, c.outputs] for c in commands]))")
 # argv: src dir, the commands' argv lists (JSON); prints each exit code
 RUN = ("import json, os, sys; sys.path.insert(0, sys.argv[1]); from attrmeaning import cli; "
        "assert cli.__file__.startswith(os.path.join(sys.argv[1], '')), cli.__file__; "
        "codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]; "
        "print(json.dumps(codes))")
+
+
+def _workloads(change):
+    """The change checkout's ``perfbench/workloads`` module."""
+    perfbench = os.path.abspath(os.path.join(change, "perfbench"))
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import workloads
+
+    return workloads
 
 
 def _child(code, cwd, *args):
@@ -58,19 +61,23 @@ def differences(parent_dir, change_dir, outputs):
 def compare(parent, change, workload, seed, big=None):
     """Run one workload's commands in both checkouts; returns (outputs,
     differing outputs, exit codes per side)."""
-    perfbench = os.path.abspath(os.path.join(change, "perfbench"))
+    workloads = _workloads(change)
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         dirs = {side: os.path.join(tmp, side) for side in ("parent", "change")}
         os.makedirs(dirs["parent"])
-        listed = _child(BUILD, dirs["parent"], perfbench, workload, str(seed), json.dumps(big))
-        commands = json.loads(listed.stdout.splitlines()[-1])
+        cwd = os.getcwd()
+        os.chdir(dirs["parent"])
+        try:
+            commands = workloads.build(workload, seed, ".", big=big)
+        finally:
+            os.chdir(cwd)
         shutil.copytree(dirs["parent"], dirs["change"])
+        argvs = json.dumps([command.argv for command in commands])
         codes = {}
         for side, checkout in (("parent", parent), ("change", change)):
             src = os.path.abspath(os.path.join(checkout, "src"))
-            ran = _child(RUN, dirs[side], src, json.dumps([argv for argv, _ in commands]))
-            codes[side] = json.loads(ran.stdout.splitlines()[-1])
-        outputs = [path for _, paths in commands for path in paths]
+            codes[side] = json.loads(_child(RUN, dirs[side], src, argvs).stdout.splitlines()[-1])
+        outputs = [path for command in commands for path in command.outputs]
         return outputs, differences(dirs["parent"], dirs["change"], outputs), codes
 
 
@@ -79,11 +86,10 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args(argv)
 
     compared, differing, codes_differ = 0, 0, False
-    for workload in args.workloads:
+    for workload in _workloads(args.change).WORKLOADS:
         for seed in args.seeds:
             outputs, differ, codes = compare(args.parent, args.change, workload, seed)
             compared, differing = compared + len(outputs), differing + len(differ)
