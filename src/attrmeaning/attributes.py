@@ -28,6 +28,20 @@ def _first_bad(mask):
     return int(rows[0]), int(cols[0])
 
 
+def _finite_matrix(X, noun, value) -> np.ndarray:
+    # X as a non-empty, finite 2-d float64 array; errors name noun and value
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"{noun} must be 2-d, got ndim={X.ndim}")
+    if X.shape[0] < 1 or X.shape[1] < 1:
+        raise ValueError(f"{noun} must be non-empty, got shape {X.shape}")
+    bad = ~np.isfinite(X)
+    if bad.any():
+        i, j = _first_bad(bad)
+        raise ValueError(f"non-finite {value} at row {i}, column {j}")
+    return X
+
+
 def as_feature_matrix(F) -> np.ndarray:
     """Validate and return a dense real feature matrix (n_instances x n_dims).
 
@@ -46,16 +60,7 @@ def as_feature_matrix(F) -> np.ndarray:
         If the array is not 2-d, is empty, or contains a non-finite entry
         (the error message names the offending row and column).
     """
-    F = np.asarray(F, dtype=np.float64)
-    if F.ndim != 2:
-        raise ValueError(f"feature matrix must be 2-d, got ndim={F.ndim}")
-    if F.shape[0] < 1 or F.shape[1] < 1:
-        raise ValueError(f"feature matrix must be non-empty, got shape {F.shape}")
-    bad = ~np.isfinite(F)
-    if bad.any():
-        i, j = _first_bad(bad)
-        raise ValueError(f"non-finite feature value at row {i}, column {j}")
-    return F
+    return _finite_matrix(F, "feature matrix", "feature value")
 
 
 def as_attribute_matrix(Z) -> np.ndarray:
@@ -126,15 +131,7 @@ def binarize(scores) -> np.ndarray:
     ValueError
         On NaN or infinite scores, naming the first bad (row, column).
     """
-    S = np.asarray(scores, dtype=np.float64)
-    if S.ndim != 2:
-        raise ValueError(f"score matrix must be 2-d, got ndim={S.ndim}")
-    if S.shape[0] < 1 or S.shape[1] < 1:
-        raise ValueError(f"score matrix must be non-empty, got shape {S.shape}")
-    bad = ~np.isfinite(S)
-    if bad.any():
-        i, j = _first_bad(bad)
-        raise ValueError(f"non-finite score at row {i}, column {j}")
+    S = _finite_matrix(scores, "score matrix", "score")
     return np.where(S >= 0.0, 1, -1).astype(np.int8)
 
 

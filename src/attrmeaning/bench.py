@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attributes import as_attribute_matrix, random_attribute_set
+from .attributes import as_attribute_matrix, binarize, random_attribute_set
 from .subspace import SolverConfig, distance_cvx
 
 __all__ = [
@@ -242,9 +242,7 @@ def planted_meaningful_set(
     derived = []
     for _ in range(j - j_latent):
         weights = rng.dirichlet(np.ones(j_latent))
-        col = np.where(latent.astype(np.float64) @ weights >= 0.0, 1, -1).astype(
-            np.int8
-        )
+        col = binarize((latent.astype(np.float64) @ weights)[:, None])[:, 0]
         if flips:
             idx = rng.choice(n, size=flips, replace=False)
             col[idx] = -col[idx]

@@ -730,6 +730,16 @@ def _check_rows(first, A, second, B) -> None:
         raise InputFormatError(f"{second}: {B.shape[0]} rows, but {first} has {A.shape[0]}")
 
 
+@contextlib.contextmanager
+def _about(*paths):
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise  # a numeric error, which main reports as one
+    except ValueError as exc:  # the library's complaint about these files' data
+        raise InputFormatError(f"{' and '.join(filter(None, paths))}: {exc}") from None
+
+
 def cmd_discover(args) -> list:
     F = read_feature_csv(args.features)
     labels = read_label_csv(args.labels) if args.labels else None
@@ -739,25 +749,26 @@ def cmd_discover(args) -> list:
             f"feature rows in {args.features}"
         )
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", LiftClampWarning)
-        if args.lift:
-            F = lift_features(F)
-        for w in caught:
-            print(f"note: {w.message}", file=sys.stderr)
-    if args.pca_keep is not None:
-        F = _project_in_place(F, args.pca_keep)  # F is this command's own copy
+    with _about(args.features, args.labels):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", LiftClampWarning)
+            if args.lift:
+                F = lift_features(F)
+            for w in caught:
+                print(f"note: {w.message}", file=sys.stderr)
+        if args.pca_keep is not None:
+            F = _project_in_place(F, args.pca_keep)  # F is this command's own copy
 
-    if args.method == "lsh":
-        model = train_lsh(F.shape[1], args.bits, args.seed)
-    elif args.method == "sh":
-        model = train_sh(F, args.bits)
-    else:
-        model = train_mmc(F, labels, args.bits, seed=args.seed)
-    return [
-        (args.model_out, write_json, model_to_dict(model)),
-        (args.codes_out, write_attribute_csv, encode(model, F)),
-    ]
+        if args.method == "lsh":
+            model = train_lsh(F.shape[1], args.bits, args.seed)
+        elif args.method == "sh":
+            model = train_sh(F, args.bits)
+        else:
+            model = train_mmc(F, labels, args.bits, seed=args.seed)
+        return [
+            (args.model_out, write_json, model_to_dict(model)),
+            (args.codes_out, write_attribute_csv, encode(model, F)),
+        ]
 
 
 def cmd_distance(args) -> list:
@@ -796,7 +807,8 @@ def cmd_bench_split_validate(args) -> list:
     S = read_attribute_csv(args.meaningful)
     methods = _parse_method_entries(args, S)
     protocol = SplitProtocol(seed=args.seed, left_fraction=args.left_fraction)
-    report = run_split_validation(S, methods, protocol, _solver_config(args))
+    with _about(args.meaningful):
+        report = run_split_validation(S, methods, protocol, _solver_config(args))
     return [(args.out, write_json, {"meta": _meta(args, seed=args.seed), **report})]
 
 
@@ -873,15 +885,15 @@ def _add_solver_flags(parser):
     parser.add_argument(
         "--tolerance",
         type=_open_unit_float,
-        default=1e-8,
+        default=SolverConfig.objective_tolerance,
         help="convex solver stops once its Frank-Wolfe gap certifies "
-        "f - f* <= TOLERANCE * max(f, 1) (default 1e-8)",
+        "f - f* <= TOLERANCE * max(f, 1) (default %(default)s)",
     )
     parser.add_argument(
         "--max-iterations",
         type=_positive_int,
-        default=10_000,
-        help="accelerated projected-gradient iteration cap (default 10000)",
+        default=SolverConfig.max_iterations,
+        help="accelerated projected-gradient iteration cap (default %(default)s)",
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attributes import as_feature_matrix, as_label_vector
+from .attributes import as_feature_matrix, as_label_vector, binarize
 
 __all__ = [
     "LiftConfig",
@@ -404,7 +404,7 @@ def train_mmc(
     k = bits
 
     init = train_lsh(d, k, seed)
-    B = np.where(F @ init.hyperplanes.T >= 0.0, 1.0, -1.0)  # (n, k) working codes
+    B = encode(init, F).astype(np.float64)  # (n, k) working codes
     Y = np.where(y[:, None] == classes[None, :], 1.0, -1.0)  # (n, c) one-vs-rest
 
     for _ in range(hp.epochs - 1):
@@ -423,8 +423,8 @@ def train_mmc(
 def encode(model, F) -> np.ndarray:
     """Encode features into {-1, +1} codes with a fitted coder.
 
-    Dispatches on the model type; responses of exactly zero map to +1,
-    matching :func:`attrmeaning.attributes.binarize`.
+    Dispatches on the model type and signs the responses through
+    :func:`attrmeaning.attributes.binarize`, so an exact zero maps to +1.
     """
     F = as_feature_matrix(F)
     if not isinstance(model, (LshModel, ShModel, MmcModel)):
@@ -447,4 +447,4 @@ def encode(model, F) -> np.ndarray:
         np.sin(resp, out=resp)
     else:
         resp = F @ model.hyperplanes[:, :-1].T + model.hyperplanes[:, -1]
-    return np.where(resp >= 0.0, 1, -1).astype(np.int8)
+    return binarize(resp)

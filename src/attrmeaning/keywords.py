@@ -132,20 +132,6 @@ class HitRateReport:
     suitable: int
 
 
-def _group_by_name(names: NamingTable):
-    # canonical name -> (first bit index, representative surface form,
-    # member bit indices), insertion-ordered by first occurrence
-    groups: dict[str, tuple[int, str, list[int]]] = {}
-    for idx in sorted(names.entries):
-        name = names.entries[idx]
-        key = _canonical(name)
-        if key in groups:
-            groups[key][2].append(idx)
-        else:
-            groups[key] = (idx, name, [idx])
-    return groups
-
-
 def merge_duplicates(Z, names: NamingTable) -> tuple:
     """Collapse bits sharing a (case-folded, trimmed) name into one column.
 
@@ -156,28 +142,17 @@ def merge_duplicates(Z, names: NamingTable) -> tuple:
     """
     Z = as_attribute_matrix(Z)
     names.check_width(Z.shape[1])
-    groups = _group_by_name(names)
-    first_of = {first: (surface, members) for first, surface, members in groups.values()}
-    drop = {
-        idx
-        for first, surface, members in groups.values()
-        for idx in members
-        if idx != first
-    }
-
-    columns = []
-    new_entries: dict[int, str] = {}
-    for idx in range(Z.shape[1]):
-        if idx in drop:
-            continue
-        if idx in first_of:
-            surface, members = first_of[idx]
-            merged = Z[:, members].max(axis=1)
-            new_entries[len(columns)] = surface
-            columns.append(merged)
-        else:
-            columns.append(Z[:, idx])
-    return np.stack(columns, axis=1).astype(np.int8), NamingTable(new_entries)
+    groups: dict[str, list[int]] = {}  # canonical name -> its bits, by first bit
+    for idx in sorted(names.entries):
+        groups.setdefault(_canonical(names.entries[idx]), []).append(idx)
+    merged, keep = Z.copy(), np.ones(Z.shape[1], dtype=bool)
+    for members in groups.values():
+        merged[:, members[0]] = Z[:, members].max(axis=1)
+        keep[members[1:]] = False
+    position = np.cumsum(keep) - 1  # each kept bit's index after the merge
+    entries = {position[m[0]]: names.entries[m[0]] for m in groups.values()}
+    # compress, unlike merged[:, keep] (an F-ordered copy), keeps C order
+    return merged.compress(keep, axis=1), NamingTable(entries)
 
 
 def generate_keywords(Z, names: NamingTable, item_ids=None) -> KeywordReport:
@@ -203,17 +178,14 @@ def generate_keywords(Z, names: NamingTable, item_ids=None) -> KeywordReport:
         if len(set(item_ids)) != len(item_ids):
             raise ValueError("item ids must be unique")
 
-    groups = _group_by_name(names)
-    vocabulary = tuple(surface for _, surface, _ in groups.values())
-
-    if not vocabulary:
-        return KeywordReport(items=dict.fromkeys(item_ids, ()), vocabulary=())
-
     # a concept fires when any bit carrying its name is positive, so the
     # emission is identical whether or not duplicates were merged first
-    fires = np.zeros((n, len(vocabulary)), dtype=bool)
-    for g, (_, _, members) in enumerate(groups.values()):
-        fires[:, g] = (Z[:, members] == 1).any(axis=1)
+    merged, merged_names = merge_duplicates(Z, names)
+    named = sorted(merged_names.entries)
+    vocabulary = tuple(map(merged_names.entries.__getitem__, named))
+    if not vocabulary:
+        return KeywordReport(items=dict.fromkeys(item_ids, ()), vocabulary=())
+    fires = merged.take(named, axis=1) == 1
     # one keyword tuple per distinct row of fires, shared by every item that
     # fires that row; each packed row is one opaque value, which np.unique
     # sorts several times faster than rows compared with axis=0 (the

@@ -141,14 +141,9 @@ def _solve_plain(S, D):
 
 def _project_rows(V) -> np.ndarray:
     # project_simplex applied to each row (Duchi et al. 2008)
-    j = V.shape[1]
     u = np.sort(V, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    ranks = np.arange(1, j + 1, dtype=np.float64)
-    positive = u + (1.0 - css) / ranks > 0.0
-    rho = j - 1 - np.argmax(positive[:, ::-1], axis=1)
-    theta = (1.0 - css[np.arange(V.shape[0]), rho]) / (rho + 1.0)
-    return np.maximum(V + theta[:, None], 0.0)
+    shift = ((np.cumsum(u, axis=1) - 1.0) / np.arange(1, V.shape[1] + 1)).max(axis=1)
+    return np.maximum(V - shift[:, None], 0.0)
 
 
 def _solve_cvx(S, D, config: SolverConfig):
@@ -246,9 +241,9 @@ def distance_plain(S, D) -> ReconstructionResult:
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection of a vector onto the probability simplex.
 
-    Sort-and-threshold algorithm: with u the entries of v in descending
-    order, find the largest rho such that u_rho + (1 - sum_{i<=rho} u_i) /
-    rho > 0, shift by that amount and clip at zero.  O(J log J).
+    Sort-and-threshold (Duchi et al. 2008): with u the entries of v in
+    descending order, subtract the largest prefix mean max_k (u_1 + ... +
+    u_k - 1) / k and clip at zero.  O(J log J).
 
     The output is nonnegative and sums to 1 (up to float accumulation).
     """

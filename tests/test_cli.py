@@ -12,6 +12,7 @@ import pytest
 
 from attrmeaning import KeywordReport, MmcHyperparams, encode, train_lsh, train_mmc, train_sh
 import attrmeaning.cli as cli
+import attrmeaning.discovery as discovery
 import attrmeaning.subspace as subspace
 from attrmeaning.cli import InputFormatError, main, model_from_dict
 
@@ -169,6 +170,67 @@ def test_discover_label_count_mismatch_names_the_labels_file(
     err = capsys.readouterr().err
     assert labels in err and "20 labels" in err and "40 feature rows" in err
     assert not (tmp_path / "m.json").exists()
+
+
+_DATA_ERRORS = {
+    "pca-one-row": (["discover", "--method", "lsh", "--pca-keep", "0.5"], "1,2,3\n",
+                    "PCA needs at least 2 rows, got 1"),
+    "sh-one-row": (["discover", "--method", "sh"], "1,2,3\n",
+                   "training needs at least 2 rows, got 1"),
+    "sh-constant": (["discover", "--method", "sh"], "1,2,3\n" * 5,
+                    "every projected direction is degenerate (constant data)"),
+    "mmc-one-class": (["discover", "--method", "mmc"], "1,2,3\n2,3,1\n" * 3,
+                      "need at least 2 classes, got 1"),
+    "split-one-column": (["bench", "split-validate"], "1\n-1\n1\n",
+                         "need at least 2 columns to split, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", _DATA_ERRORS)
+def test_errors_about_the_data_name_the_file(tmp_path, capsys, case):
+    command, text, message = _DATA_ERRORS[case]
+    data = _write(tmp_path / "data.csv", text)
+    paths = [data]
+    if command[0] == "bench":
+        argv = command + ["--meaningful", data, "--out", str(tmp_path / "b.json")]
+    else:
+        argv = command + ["--bits", "2", "--features", data,
+                          "--model-out", str(tmp_path / "m.json"),
+                          "--codes-out", str(tmp_path / "z.csv")]
+        if "mmc" in command:
+            paths.append(_write(tmp_path / "labels.csv", "0\n" * 6))
+            argv += ["--labels", paths[1]]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {' and '.join(paths)}: {message}\n"
+    assert _left_behind(tmp_path, paths) == []
+
+
+def test_discover_rejects_responses_that_overflow(tmp_path, capsys):
+    # encode signs through binarize, which rejects a non-finite response
+    data = _write(tmp_path / "big.csv", (",".join(["1.7e308"] * 8) + "\n") * 3)
+    argv = ["discover", "--method", "lsh", "--bits", "4", "--features", data,
+            "--model-out", str(tmp_path / "m.json"), "--codes-out", str(tmp_path / "z.csv")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: {data}: non-finite score at row 0, ")
+    assert _left_behind(tmp_path, [data]) == []
+
+
+def test_discover_linalg_error_in_pca_stays_numeric(tmp_path, features_csv, capsys, monkeypatch):
+    def fail(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(discovery, "_centred_pca", fail)
+    rc = main(
+        [
+            "discover", "--method", "lsh", "--bits", "2", "--features", features_csv,
+            "--pca-keep", "0.5", "--model-out", str(tmp_path / "m.json"),
+            "--codes-out", str(tmp_path / "z.csv"),
+        ]
+    )
+    assert rc == cli.EXIT_NUMERIC == 4
+    assert capsys.readouterr().err == "numeric error: SVD did not converge\n"
+    assert _left_behind(tmp_path, [features_csv]) == []
 
 
 def test_discover_lift_and_pca_flags(tmp_path, features_csv):

@@ -26,3 +26,15 @@ def test_differences_names_changed_and_missing_outputs(tmp_path):
             (root / "out" / name).write_bytes(text)
     outputs = ["out/x", "out/y", "out/z", "out/w"]
     assert compare_outputs.differences(parent, change, outputs) == ["out/y", "out/z", "out/w"]
+
+
+def test_summary_ends_with_each_checkouts_src_lines(monkeypatch, capsys):
+    # no commands run: only the summary is under test
+    nothing = ([], [], {"parent": [], "change": []})
+    monkeypatch.setattr(compare_outputs, "compare", lambda *args: nothing)
+    argv = ["--parent", str(_ROOT), "--change", str(_ROOT), "--seeds", "1"]
+    assert compare_outputs.main(argv) == 0
+    modules = (_ROOT / "src" / "attrmeaning").glob("*.py")
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in modules)
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"src/ lines: parent {lines}, change {lines}"

@@ -109,6 +109,26 @@ def test_generate_then_merge_agree():
     assert direct == via_merge
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+def test_merge_returns_a_contiguous_int8_copy_when_bits_drop(order, dtype):
+    # a boolean column index, merged[:, keep], would return an F-ordered copy
+    rng = np.random.default_rng(3)
+    Z = np.asarray(2 * rng.integers(0, 2, size=(25, 7)) - 1, dtype=dtype, order=order)
+    before = Z.copy()
+    names = NamingTable({1: "cat", 2: "dog", 4: " Cat", 5: "DOG", 6: "cat"})
+    merged, merged_names = merge_duplicates(Z, names)
+    assert merged.dtype == np.int8
+    assert merged.flags.c_contiguous
+    assert merged.shape == (25, 4)
+    assert merged_names.entries == {1: "cat", 2: "dog"}
+    assert merged.tolist() == np.column_stack(
+        [Z[:, 0], Z[:, [1, 4, 6]].max(axis=1), Z[:, [2, 5]].max(axis=1), Z[:, 3]]
+    ).tolist()
+    assert np.array_equal(Z, before)  # the input is not written
+    assert generate_keywords(merged, merged_names) == generate_keywords(Z, names)
+
+
 def _keywords_by_row(Z, names, item_ids):
     # the per-row definition: a name fires when any bit carrying it is +1
     groups = {}

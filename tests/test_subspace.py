@@ -16,7 +16,7 @@ from attrmeaning import (
     reconstruct_cvx,
     reconstruct_ls,
 )
-from attrmeaning.subspace import _simplex_grid
+from attrmeaning.subspace import _project_rows, _simplex_grid
 
 # ---------------------------------------------------------------------------
 # unconstrained least squares
@@ -189,6 +189,65 @@ def test_project_simplex_input_validation():
         project_simplex([])
     with pytest.raises(ValueError):
         project_simplex([np.nan, 0.0])
+
+
+def _searched_projection(V):
+    # the sort-and-search form of Duchi et al. (2008): the last rank rho
+    # with u_rho + (1 - sum_{i<=rho} u_i) / rho > 0 fixes the shift
+    j = V.shape[1]
+    u = np.sort(V, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    positive = u + (1.0 - css) / np.arange(1, j + 1, dtype=np.float64) > 0.0
+    rho = j - 1 - np.argmax(positive[:, ::-1], axis=1)
+    theta = (1.0 - css[np.arange(V.shape[0]), rho]) / (rho + 1.0)
+    return np.maximum(V + theta[:, None], 0.0)
+
+
+def _projection_block(kind, scale, rng):
+    rows = int(rng.integers(1, 50))
+    j = 1 if kind == "one-column" else int(rng.integers(1, 70))
+    if kind == "tied":  # four distinct values, so sorted rows hold runs of ties
+        return rng.normal(scale=scale, size=4)[rng.integers(0, 4, size=(rows, j))]
+    if kind == "on-simplex":  # interior points, vertices and the centre
+        V = rng.dirichlet(np.ones(j), size=rows)
+        V[::3] = np.eye(j)[rng.integers(0, j, size=V[::3].shape[0])]
+        V[1::3] = 1.0 / j
+        return V
+    return rng.normal(scale=scale, size=(rows, j))
+
+
+_BLOCK_KINDS = ("random", "tied", "one-column", "on-simplex")
+_BLOCK_SCALES = (1e-3, 1e-1, 1.0, 1e2)  # on-simplex rows ignore the scale
+
+
+@pytest.mark.parametrize("kind", _BLOCK_KINDS)
+@pytest.mark.parametrize("scale", _BLOCK_SCALES)
+def test_projection_shift_is_the_searched_one_bit_for_bit(kind, scale):
+    # the largest prefix mean is the shift that the search for rho finds
+    rng = np.random.default_rng([_BLOCK_KINDS.index(kind), _BLOCK_SCALES.index(scale)])
+    for _ in range(25):
+        V = _projection_block(kind, scale, rng)
+        got, want = _project_rows(V), _searched_projection(V)
+        assert got.tobytes() == want.tobytes(), np.count_nonzero(got != want)
+
+
+@pytest.mark.parametrize("den", [3.0, 10.0])
+@pytest.mark.parametrize("scale", [0.1, 1.0])
+def test_projection_shift_at_an_exact_plateau_agrees_to_rounding(scale, den):
+    # values on a decimal grid can put an entry exactly at the threshold, so
+    # two ranks give the same shift in exact arithmetic; the prefix sums of
+    # either rank then round differently, and the two forms may differ by
+    # that rounding (an entry of 0 on one side, about 1e-17 on the other)
+    rng = np.random.default_rng([int(scale), int(den)])
+    eps = np.finfo(np.float64).eps
+    for _ in range(50):
+        shape = (int(rng.integers(1, 50)), int(rng.integers(1, 70)))
+        V = scale * rng.integers(-2, 3, size=shape) / den
+        got, want = _project_rows(V), _searched_projection(V)
+        bound = eps * V.shape[1] * np.maximum(np.abs(V).max(axis=1), 1.0)
+        assert (np.abs(got - want).max(axis=1) <= bound).all()
+        assert (got >= 0.0).all()
+        assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------

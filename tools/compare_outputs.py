@@ -8,7 +8,8 @@ runs the pass's nine commands once, through its own ``src``, in a child
 process whose working directory holds a copy of those inputs under the
 same relative paths, so the ``meta.command`` of every report matches.
 Every output that differs, or that one side did not write, is printed; the
-exit code is 1 if any does.
+exit code is 1 if any does.  The summary ends with each checkout's line
+count of ``src/``, the size that simplifications are meant to bring down.
 """
 
 from __future__ import annotations
@@ -81,6 +82,12 @@ def compare(parent, change, workload, seed, big=None):
         return outputs, differences(dirs["parent"], dirs["change"], outputs), codes
 
 
+def src_lines(checkout):
+    """Lines in the checkout's ``src/attrmeaning/*.py``, counted as ``wc -l`` does."""
+    modules = pathlib.Path(checkout, "src", "attrmeaning").glob("*.py")
+    return sum(path.read_bytes().count(b"\n") for path in modules)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -101,6 +108,7 @@ def main(argv=None):
             print(f"{workload} seed {seed}: {len(outputs) - len(differ)}/{len(outputs)} "
                   "outputs byte-identical", flush=True)
     print(f"{compared - differing}/{compared} outputs byte-identical")
+    print(f"src/ lines: parent {src_lines(args.parent)}, change {src_lines(args.change)}")
     return 1 if differing or codes_differ else 0
 
 if __name__ == "__main__":
