@@ -236,7 +236,7 @@ def planted_meaningful_set(
     if not (0.0 <= flip_rate <= 0.5):
         raise ValueError(f"flip_rate must be in [0, 0.5], got {flip_rate}")
     rng = np.random.default_rng(seed)
-    j_latent = max(1, j // 2)
+    j_latent = j // 2
     latent = (2 * rng.integers(0, 2, size=(n, j_latent)) - 1).astype(np.int8)
     flips = int(round(flip_rate * n))
     derived = []
@@ -247,9 +247,7 @@ def planted_meaningful_set(
             idx = rng.choice(n, size=flips, replace=False)
             col[idx] = -col[idx]
         derived.append(col)
-    if derived:
-        return np.concatenate([latent, np.stack(derived, axis=1)], axis=1)
-    return latent
+    return np.concatenate([latent, np.stack(derived, axis=1)], axis=1)
 
 
 @dataclass(frozen=True)

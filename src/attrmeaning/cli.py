@@ -34,6 +34,7 @@ import functools
 import io
 import json
 import os
+import shlex
 import sys
 import tempfile
 import typing
@@ -67,14 +68,13 @@ from .keywords import (
     evaluate_hit_rate,
     first_repeat,
     generate_keywords,
-    merge_duplicates,
+    merge_duplicates,  # not called here; perfbench/spans.py wraps it by name
 )
 from .subspace import SolverConfig, distance_cvx, distance_plain
 
 __all__ = ["main", "model_to_dict", "model_from_dict"]
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
@@ -263,24 +263,27 @@ def _read_table(path, header):
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     expected = list(header)
     has_header = False
-    for row in reader:
-        fields = [field.strip() for field in row]
-        if not any(fields):
-            continue
-        if not has_header:
-            if fields != expected:
+    try:
+        for row in reader:
+            fields = [field.strip() for field in row]
+            if not any(fields):
+                continue
+            if not has_header:
+                if fields != expected:
+                    raise InputFormatError(
+                        f"{path}: expected header {','.join(header)!r}, "
+                        f"got {','.join(fields)!r}"
+                    )
+                has_header = True
+            elif len(fields) != len(header):
                 raise InputFormatError(
-                    f"{path}: expected header {','.join(header)!r}, "
-                    f"got {','.join(fields)!r}"
+                    f"{path}: line {reader.line_num} has {len(fields)} fields, "
+                    f"expected {len(header)}"
                 )
-            has_header = True
-        elif len(fields) != len(header):
-            raise InputFormatError(
-                f"{path}: line {reader.line_num} has {len(fields)} fields, "
-                f"expected {len(header)}"
-            )
-        else:
-            yield reader.line_num, fields
+            else:
+                yield reader.line_num, fields
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise InputFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not has_header:
         raise InputFormatError(f"{path}: file is empty")
 
@@ -408,7 +411,7 @@ def read_keywords_json(path) -> KeywordReport:
     text = _read_text(path)
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys(path))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
     try:
         vocabulary, items = doc["vocabulary"], doc["items"]
@@ -580,7 +583,7 @@ def write_curve_csv(path, curve) -> None:
 def _meta(args, seed=None) -> dict:
     return {
         "version": __version__,
-        "command": "attrmeaning " + " ".join(args._argv),
+        "command": shlex.join(["attrmeaning", *args._argv]),
         "seed": seed,
     }
 
@@ -793,19 +796,13 @@ def cmd_distance(args) -> list:
     return [(args.out, write_json, report)]
 
 
-def _parse_method_entries(args, S):
-    # --method NAME=PATH entries, each read and checked against --meaningful
-    entries = []
+def cmd_bench_split_validate(args) -> list:
+    S = read_attribute_csv(args.meaningful)
+    methods = []  # --method NAME=PATH entries, each checked against --meaningful
     for name, _, path in args.method or []:
         Z = read_attribute_csv(path)
         _check_rows(args.meaningful, S, path, Z)
-        entries.append((name, Z))
-    return entries
-
-
-def cmd_bench_split_validate(args) -> list:
-    S = read_attribute_csv(args.meaningful)
-    methods = _parse_method_entries(args, S)
+        methods.append((name, Z))
     protocol = SplitProtocol(seed=args.seed, left_fraction=args.left_fraction)
     with _about(args.meaningful):
         report = run_split_validation(S, methods, protocol, _solver_config(args))
@@ -840,8 +837,7 @@ def cmd_keywords_generate(args) -> list:
             f"{args.names}: bit {bit} is out of range for the "
             f"{Z.shape[1]} columns of {args.codes}"
         )
-    merged, merged_names = merge_duplicates(Z, names)
-    report = generate_keywords(merged, merged_names)
+    report = generate_keywords(Z, names)
     return [(args.out, write_json, {"meta": _meta(args), **_plain(report)})]
 
 

@@ -267,10 +267,6 @@ def train_sh(F, bits: int) -> ShModel:
         raise ValueError("every projected direction is degenerate (constant data)")
     candidates.sort()
     chosen = candidates[:bits]
-    if len(chosen) < bits:
-        raise ValueError(
-            f"only {len(chosen)} usable modes for {bits} requested bits"
-        )
     modes = np.asarray([(direction, k) for _, direction, k in chosen], dtype=np.int64)
     eigenvalues = np.asarray([np.exp(-0.5 * w2) for w2, _, _ in chosen])
     return ShModel(

@@ -164,9 +164,10 @@ def generate_keywords(Z, names: NamingTable, item_ids=None) -> KeywordReport:
     names were not merged beforehand; keywords appear in first-occurrence
     order of their name.  Item ids default to the row index as a string.
     """
-    Z = as_attribute_matrix(Z)
-    names.check_width(Z.shape[1])
-    n = Z.shape[0]
+    # a concept fires when any bit carrying its name is positive, so the
+    # emission is identical whether or not duplicates were merged first
+    merged, merged_names = merge_duplicates(Z, names)
+    n = merged.shape[0]
     if item_ids is None:
         item_ids = list(map(str, range(n)))
     else:
@@ -178,9 +179,6 @@ def generate_keywords(Z, names: NamingTable, item_ids=None) -> KeywordReport:
         if len(set(item_ids)) != len(item_ids):
             raise ValueError("item ids must be unique")
 
-    # a concept fires when any bit carrying its name is positive, so the
-    # emission is identical whether or not duplicates were merged first
-    merged, merged_names = merge_duplicates(Z, names)
     named = sorted(merged_names.entries)
     vocabulary = tuple(map(merged_names.entries.__getitem__, named))
     if not vocabulary:

@@ -40,6 +40,9 @@ def test_split_rejects_degenerate_sides():
     S = random_attribute_set(10, 1, seed=0)
     with pytest.raises(ValueError):
         split_meaningful(S, SplitProtocol(seed=0))
+    S = random_attribute_set(10, 2, seed=0)
+    with pytest.raises(ValueError, match="leaves an empty side for 2 columns"):
+        split_meaningful(S, SplitProtocol(seed=0, left_fraction=0.9))
     with pytest.raises(ValueError):
         SplitProtocol(seed=0, left_fraction=0.0)
     with pytest.raises(ValueError):

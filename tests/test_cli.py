@@ -4,6 +4,7 @@ import importlib.util
 import json
 import pathlib
 import re
+import shlex
 import time
 import warnings
 
@@ -249,6 +250,21 @@ def test_discover_lift_and_pca_flags(tmp_path, features_csv):
     assert doc["dims"] == 6
 
 
+def test_discover_lift_notes_clamped_entries(tmp_path, capsys):
+    features = _write(tmp_path / "f.csv", "0.5,0.2\n-0.1,0.7\n0.3,0.9\n0.8,0.4\n")
+    model, codes = tmp_path / "m.json", tmp_path / "z.csv"
+    rc = main(
+        [
+            "discover", "--method", "lsh", "--bits", "3", "--features", features,
+            "--lift", "--model-out", str(model), "--codes-out", str(codes),
+        ]
+    )
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "note: clamped 1 negative feature entries to zero before lifting" in err
+    assert model.exists() and codes.exists()
+
+
 def test_discover_is_byte_deterministic(tmp_path, features_csv):
     args = [
         "discover", "--method", "lsh", "--bits", "4",
@@ -444,6 +460,13 @@ _READER_CASES = [
      "key '0' appears twice in one JSON object"),
     ("read_keywords_json", '{"vocabulary": ["a"], "items": {}, "vocabulary": ["b"]}',
      "key 'vocabulary' appears twice in one JSON object"),
+    pytest.param("read_keywords_json", '{"vocabulary": [], "items": {"0": [%s]}}' % ("1" * 5000),
+                 "invalid JSON: Exceeds the limit (4300 digits)", id="read_keywords_json-5000-digits"),
+    ("read_keywords_json", "vocabulary: [a]\n", "invalid JSON: "),
+    ("read_keywords_json", "[1]", "expected JSON object with 'vocabulary' and 'items'"),
+    ("read_keywords_json", '{"vocabulary": []}',
+     "expected JSON object with 'vocabulary' and 'items'"),
+    ("read_naming_csv", "bit,positive_name\n0,a\nx,b\n", "line 3: 'x' is not a bit index"),
 ]
 
 
@@ -1746,6 +1769,25 @@ def test_keywords_reader_round_trips_and_shares_equal_lists(tmp_path):
     assert got.items["0"] is got.items["3"] and got.items["2"] is got.items["29"]
 
 
+def test_keywords_json_nested_too_deep_exits_three(tmp_path, capsys):
+    kw = _write(tmp_path / "kw.json", "[" * 2000 + "]" * 2000)
+    truth = _write(tmp_path / "truth.csv", "item_id,keyword,suitable\n")
+    out = ["--out", str(tmp_path / "e.json")]
+    assert main(["keywords", "evaluate", "--keywords", kw, "--truth", truth, *out]) == 3
+    assert f"error: {kw}: invalid JSON" in capsys.readouterr().err
+    assert _left_behind(tmp_path, [kw, truth]) == []
+
+
+def test_naming_csv_field_over_csv_limit_exits_three(tmp_path, keyword_files, capsys):
+    codes, plain = keyword_files
+    names = _write(tmp_path / "long.csv", "bit,positive_name\n0,a\n1," + "n" * 200_000 + "\n")
+    out = ["--out", str(tmp_path / "kw.json")]
+    assert main(["keywords", "generate", "--codes", codes, "--names", names, *out]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {names}: line 3: field larger than field limit" in err
+    assert _left_behind(tmp_path, [codes, plain, names]) == []
+
+
 def test_naming_csv_header_enforced(tmp_path, keyword_files, capsys):
     codes, _ = keyword_files
     bad = _write(tmp_path / "bad_names.csv", "index,name\n0,striped\n")
@@ -1779,3 +1821,14 @@ def test_reports_have_no_timestamps(tmp_path, meaningful_csv):
         ]
     )
     assert out.read_bytes() == first
+
+
+def test_meta_command_keeps_argument_boundaries(tmp_path, meaningful_csv):
+    out = tmp_path / "a report.json"
+    argv = [
+        "distance", "--meaningful", meaningful_csv,
+        "--discovered", meaningful_csv, "--mode", "plain", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert shlex.split(doc["meta"]["command"]) == ["attrmeaning", *argv]
